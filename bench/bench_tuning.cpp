@@ -1,12 +1,11 @@
-// Design-choice ablations DESIGN.md calls out: the eager-tile side, the
-// bin-boundary scaling factor, and the inspector chunk size.
+// Design-choice ablations DESIGN.md calls out: the eager-tile side and the
+// bin-boundary scaling factor.
 //
 // Paper anchors: the 16x16 tile catches >80% of seeds at negligible cost
 // (Section 3.1.2); the four bins use a 4x scaling factor "but one could add
-// bins using a similar 4x scaling factor if needed" (Section 3.3); the
-// inspector is chunked across 32 streams (Section 3.4). This bench sweeps
-// each knob with the others at their defaults and reports modeled Ampere
-// time plus the knob's governing statistic.
+// bins using a similar 4x scaling factor if needed" (Section 3.3). This
+// bench sweeps each knob with the other at its default and reports modeled
+// Ampere time plus the knob's governing statistic.
 #include <iostream>
 
 #include "report/experiment.hpp"
@@ -16,8 +15,7 @@
 using namespace fastz;
 
 int main(int argc, char** argv) {
-  CliParser cli("Tuning sweeps: eager tile size, bin scaling, inspector "
-                "chunk size.");
+  CliParser cli("Tuning sweeps: eager tile size, bin scaling.");
   add_harness_flags(cli);
   cli.add_flag("pair", "benchmark pair label", "C1_1,1");
   if (!cli.parse(argc, argv)) return 0;
@@ -75,33 +73,10 @@ int main(int argc, char** argv) {
                  TextTable::num(t_seq / run.modeled.total_s(), 1) + "x"});
     }
     t.render(std::cout);
-    std::cout << "Reading: with per-bin kernels and streams the exact edges "
-                 "matter little as long as long alignments never share a "
-                 "kernel with short ones; too-narrow top bins overflow.\n\n";
-  }
-
-  std::cout << "=== Inspector chunk size (seeds per kernel launch) ===\n";
-  {
-    // inspector_chunk is a legacy-dispatch knob: the batched dispatcher
-    // sizes inspector launches from batch_inspector_launches instead, so
-    // the sweep pins the legacy arm to keep the knob live.
-    TextTable t({"Chunk", "Streams", "Ampere time (ms)", "Speedup"});
-    for (std::uint32_t chunk : {128u, 512u, 1024u, 4096u, 16384u}) {
-      for (std::uint32_t streams : {1u, 32u}) {
-        FastzConfig config = FastzConfig::legacy_dispatch();
-        config.inspector_chunk = chunk;
-        config.streams = streams;
-        const FastzRun run = study.derive(config, device);
-        t.add_row({TextTable::num(std::uint64_t{chunk}),
-                   TextTable::num(std::uint64_t{streams}),
-                   TextTable::num(run.modeled.total_s() * 1e3, 3),
-                   TextTable::num(t_seq / run.modeled.total_s(), 1) + "x"});
-      }
-    }
-    t.render(std::cout);
-    std::cout << "Reading: small chunks on one stream serialize many "
-                 "bulk-synchronous tails; streams recover the loss by "
-                 "overlapping chunks (Section 3.4).\n";
+    std::cout << "Reading: the edges move only the census columns. The "
+                 "dispatcher packs every bin into the same launches, so the "
+                 "modeled time does not change with the edges; too-narrow top "
+                 "bins overflow.\n";
   }
   return 0;
 }

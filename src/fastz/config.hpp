@@ -5,28 +5,15 @@
 // inspector-executor + length-binned configuration; the stream count is
 // ablated separately (32 vs 1). Each switch changes both the functional
 // path (what work the kernels perform) and, through the counted work, the
-// modeled GPU time.
+// modeled GPU time. How derive() cuts the work into launches is not a
+// switch: it always packs seeds into a few LPT-balanced launches and
+// schedules them with KernelSimulator::run_pipeline (see derive()).
 #pragma once
 
 #include <array>
 #include <cstdint>
 
 namespace fastz {
-
-// How derive() turns the study's tasks into kernel launches.
-//   kLegacy  — the historical dispatch: per-chunk inspector launches
-//              (inspector_chunk seeds each) and one executor kernel per
-//              length bin, split further under the memory budget, with a
-//              bulk-synchronous barrier between the phases. Retained as the
-//              A/B baseline arm (bench_dispatch_ab, the CI dispatch gate).
-//   kBatched — the batch scheduler (gpusim/batch_scheduler.hpp): seeds pack
-//              cross-bin into few large launches under the memory budget,
-//              tasks LPT-balance inside each launch, and executor launches
-//              chase their inspector chunk on persistently-fed streams so
-//              the phases overlap end-to-end.
-// Both arms derive from the same functional pass, so alignments and census
-// are bit-identical by construction; only the modeled schedule differs.
-enum class DispatchMode : std::uint8_t { kLegacy = 0, kBatched = 1 };
 
 struct FastzConfig {
   // Section 3.2: keep the three live anti-diagonals of S/I/D in per-lane
@@ -47,8 +34,8 @@ struct FastzConfig {
   // cache-line writes. When off, each byte store costs a DRAM sector.
   bool staged_traceback_writes = true;
 
-  // Section 3.4: CUDA streams overlapping inspector chunks and executor
-  // bin kernels. 32 in the paper's main configuration; 1 in the ablation.
+  // Section 3.4: CUDA streams overlapping inspector and executor launches.
+  // 32 in the paper's main configuration; 1 in the ablation.
   std::uint32_t streams = 32;
 
   // Eager tile side (base pairs). 16 in the paper.
@@ -56,25 +43,6 @@ struct FastzConfig {
 
   // Section 3.3: executor bin upper bounds (square side, base pairs).
   std::array<std::uint32_t, 4> bin_edges = {512, 2048, 8192, 32768};
-
-  // Seeds per inspector kernel launch. The inspector cannot length-bin
-  // (lengths are unknown before it runs), so it is chunked and the chunks
-  // are spread across streams. Legacy dispatch only — the batched
-  // dispatcher sizes inspector launches from batch_inspector_launches.
-  std::uint32_t inspector_chunk = 512;
-
-  // Dispatch strategy (see DispatchMode above) and the batched arm's knobs.
-  DispatchMode dispatch = DispatchMode::kBatched;
-  // LPT-balance tasks inside each packed launch. Off = pack in seed order,
-  // isolating the balance heuristic's contribution in A/Bs.
-  bool batch_balance = true;
-  // Double-buffer the per-launch sequence staging (2x staging footprint in
-  // the MemoryLedger; uploads overlap the running launch).
-  bool batch_double_buffer = true;
-  // Inspector launches to split the seeds over (>= 1). This is the
-  // pipeline granularity: executor launches depend only on their own
-  // inspector chunk, so chunk k's executors overlap inspector chunk k+1.
-  std::uint32_t batch_inspector_launches = 2;
 
   // The paper's main configuration / ablation points.
   static FastzConfig full() { return FastzConfig{}; }
@@ -104,18 +72,6 @@ struct FastzConfig {
   FastzConfig& with_streams(std::uint32_t n) {
     streams = n;
     return *this;
-  }
-  FastzConfig& with_dispatch(DispatchMode mode) {
-    dispatch = mode;
-    return *this;
-  }
-
-  // The dispatch A/B baseline: the full paper configuration on the
-  // historical per-chunk / per-bin dispatch.
-  static FastzConfig legacy_dispatch() {
-    FastzConfig c;
-    c.dispatch = DispatchMode::kLegacy;
-    return c;
   }
 };
 

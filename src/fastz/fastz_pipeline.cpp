@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <span>
 #include <stdexcept>
 #include <string>
 
@@ -126,12 +127,19 @@ gpusim::MemoryLedger task_traffic_ledger(std::uint64_t seq_bytes, const ScoreCha
   return led;
 }
 
+// Executor work of one derive() slot (a length bin, or the trailing
+// Hirschberg slot), summed over its tasks for the registry export.
+struct SlotSums {
+  std::uint64_t tasks = 0;
+  std::uint64_t cells = 0;  // resident traceback bytes, the packed allocation
+  std::uint64_t warp_instructions = 0;
+  std::uint64_t mem_bytes = 0;
+};
+
 // Registry export of one derive()'s outcome: modeled stage times, ledger
 // traffic, and the executor's per-bin work composition. Called only when
 // telemetry is enabled.
-void record_derive(const FastzRun& run,
-                   const std::vector<std::vector<gpusim::WarpTask>>& bin_tasks,
-                   const std::vector<std::vector<std::uint64_t>>& bin_allocs) {
+void record_derive(const FastzRun& run, std::span<const SlotSums> slots) {
   auto& reg = telemetry::MetricsRegistry::global();
   reg.counter("fastz.derive.count").add(1);
   reg.counter("fastz.derive.inspector_launches").add(run.inspector_launches);
@@ -163,23 +171,16 @@ void record_derive(const FastzRun& run,
   // The trailing slot is the Hirschberg task group; its "cells" are resident
   // traceback bytes like every other slot's (the allocation the memory
   // batcher packs), not DP cells.
-  for (std::size_t bin = 0; bin < bin_tasks.size(); ++bin) {
-    if (bin_tasks[bin].empty()) continue;
-    std::uint64_t instructions = 0;
-    std::uint64_t mem_bytes = 0;
-    std::uint64_t cells = 0;
-    for (const gpusim::WarpTask& task : bin_tasks[bin]) {
-      instructions += task.warp_instructions;
-      mem_bytes += task.mem_bytes;
-    }
-    for (const std::uint64_t alloc : bin_allocs[bin]) cells += alloc;
-    const std::string prefix = bin + 1 == bin_tasks.size()
+  for (std::size_t bin = 0; bin < slots.size(); ++bin) {
+    const SlotSums& slot = slots[bin];
+    if (slot.tasks == 0) continue;
+    const std::string prefix = bin + 1 == slots.size()
                                    ? std::string("fastz.executor.hirschberg")
                                    : "fastz.executor.bin" + std::to_string(bin);
-    reg.counter(prefix + ".tasks").add(bin_tasks[bin].size());
-    reg.counter(prefix + ".cells").add(cells);
-    reg.counter(prefix + ".warp_instructions").add(instructions);
-    reg.counter(prefix + ".mem_bytes").add(mem_bytes);
+    reg.counter(prefix + ".tasks").add(slot.tasks);
+    reg.counter(prefix + ".cells").add(slot.cells);
+    reg.counter(prefix + ".warp_instructions").add(slot.warp_instructions);
+    reg.counter(prefix + ".mem_bytes").add(slot.mem_bytes);
   }
 }
 
@@ -399,19 +400,25 @@ BinCensus FastzStudy::census() const {
 
 FastzRun FastzStudy::derive(const FastzConfig& config, const gpusim::DeviceSpec& device,
                             std::uint32_t shard_count, std::uint32_t shard_index) const {
+  // Launch structure (Section 3.4 streams, SaLoBa-style packing): the seeds
+  // split over two inspector launches, so chunk k's executors overlap
+  // inspector chunk k+1, and every launch's sequence staging is
+  // double-buffered (2x staging footprint; uploads overlap the running
+  // launch).
+  constexpr std::size_t kInspectorLaunches = 2;
+  constexpr std::uint64_t kStagingBuffers = 2;
+
   if (shard_count == 0) shard_count = 1;
   telemetry::TraceSpan derive_span("fastz.derive");
   FastzRun run;
   run.config = config;
   const gpusim::KernelSimulator sim(device);
-  const bool batched = config.dispatch == DispatchMode::kBatched;
   // Per-launch traffic attribution is only assembled while a profiler is
   // installed; the unprofiled sweep skips every per-task ledger below.
   gpusim::ProfilerSession* const prof = gpusim::ProfilerSession::active();
 
   const std::uint64_t memory_budget = std::max<std::uint64_t>(
       1, static_cast<std::uint64_t>(static_cast<double>(device.memory_bytes) * 0.6));
-  const std::uint64_t staging_mult = config.batch_double_buffer ? 2 : 1;
 
   // ---- Inspector tasks: every seed of this shard, in seed-index order. ----
   TaskAccumulator insp;
@@ -420,10 +427,9 @@ FastzRun FastzStudy::derive(const FastzConfig& config, const gpusim::DeviceSpec&
   // per-launch KernelTag::traffic after the launch boundaries are known.
   std::vector<gpusim::MemoryLedger> insp_task_traffic;
   if (prof != nullptr) insp_task_traffic.reserve(insp.tasks.capacity());
-  // Per-task staged sequence bytes — the batched dispatcher sizes its
-  // double-buffered staging from these.
+  // Per-task staged sequence bytes, which size each launch's staging.
   std::vector<std::uint64_t> insp_seq;
-  if (batched) insp_seq.reserve(insp.tasks.capacity());
+  insp_seq.reserve(insp.tasks.capacity());
   for (std::size_t idx = shard_index; idx < seed_work_.size(); idx += shard_count) {
     const SeedWork& work = seed_work_[idx];
     const SeedInspection& ins = work.inspection;
@@ -441,31 +447,27 @@ FastzRun FastzStudy::derive(const FastzConfig& config, const gpusim::DeviceSpec&
         ins.left.geom.spill_cells + ins.right.geom.spill_cells, steps, insp.ledger);
     task.mem_bytes = score.traffic + seq_bytes;
     insp.tasks.push_back(task);
-    if (batched) insp_seq.push_back(seq_bytes);
+    insp_seq.push_back(seq_bytes);
     if (prof != nullptr) insp_task_traffic.push_back(task_traffic_ledger(seq_bytes, score));
   }
 
-  // ---- Executor tasks: one slot per length bin. ---------------------------
+  // ---- Executor tasks. -----------------------------------------------------
   // Per-problem traceback allocations must fit device memory together; the
-  // inspector's exact sizes let the executor pack problems tightly, but a
-  // bin whose aggregate allocation exceeds the budget is split into
-  // multiple kernels (Section 3.1.3: "precise allocation enables FastZ to
+  // inspector's exact sizes let the executor pack problems tightly, and a
+  // pack whose aggregate allocation exceeds the budget is split into
+  // multiple launches (Section 3.1.3: "precise allocation enables FastZ to
   // pack many more seed extensions into one kernel"). Untrimmed executors
   // allocate the whole search space — the footprint difference is what
-  // batching makes visible.
-  // One slot per length bin, plus a dedicated trailing slot for Hirschberg
-  // tasks: their warp work includes checkpoint replay and their footprint is
-  // O(n+m), so lumping them into bin 3 would hide exactly the behavior the
-  // linear path changes. The slot becomes the `executor.hirschberg` kernel
-  // tag under the profiler.
+  // packing makes visible.
+  // Telemetry sums the work per length bin, plus a dedicated trailing slot
+  // for Hirschberg tasks: their warp work includes checkpoint replay and
+  // their footprint is O(n+m), so lumping them into bin 3 would hide exactly
+  // the behavior the linear path changes.
   const std::size_t hb_slot = config.bin_edges.size() + 1;
-  std::vector<std::vector<gpusim::WarpTask>> bin_tasks(config.bin_edges.size() + 2);
-  std::vector<std::vector<std::uint64_t>> bin_allocs(config.bin_edges.size() + 2);
-  std::vector<std::vector<gpusim::MemoryLedger>> bin_traffic(
-      prof != nullptr ? bin_tasks.size() : 0);
-  // Flat, seed-ordered executor records for the batched dispatcher: the
-  // task, its resident allocation, its staged sequence bytes, and the shard
-  // ordinal of its seed (which inspector chunk feeds it).
+  std::vector<SlotSums> slots(config.bin_edges.size() + 2);
+  // Flat, seed-ordered executor records: the task, its resident allocation,
+  // its staged sequence bytes, and the shard ordinal of its seed (which
+  // inspector chunk feeds it).
   struct ExecRec {
     gpusim::WarpTask task;
     std::uint64_t alloc = 0;
@@ -475,7 +477,7 @@ FastzRun FastzStudy::derive(const FastzConfig& config, const gpusim::DeviceSpec&
   };
   std::vector<ExecRec> recs;
   std::vector<gpusim::MemoryLedger> exec_task_traffic;  // parallel to recs
-  TaskAccumulator exec;
+  gpusim::MemoryLedger exec_ledger;
   std::uint32_t seed_ordinal = 0;
   for (std::size_t idx = shard_index; idx < seed_work_.size();
        idx += shard_count, ++seed_ordinal) {
@@ -523,16 +525,16 @@ FastzRun FastzStudy::derive(const FastzConfig& config, const gpusim::DeviceSpec&
     gpusim::WarpTask task;
     task.warp_instructions = steps * gpusim::kOpsPerCell;
     const std::uint64_t seq_bytes = steps * kSequenceBytesPerStep;
-    exec.ledger.sequence_bytes += seq_bytes;
+    exec_ledger.sequence_bytes += seq_bytes;
 
     const ScoreCharge score = charge_score_traffic(config.cyclic_buffers, cells + replay,
-                                                   spill_cells, steps, exec.ledger);
+                                                   spill_cells, steps, exec_ledger);
     const std::uint64_t tb_bytes = hb ? work.trimmed_tb_bytes : cells;
     const std::uint64_t tb_wire =
         config.staged_traceback_writes ? tb_bytes : tb_bytes * gpusim::kSectorBytes;
-    exec.ledger.traceback_bytes += tb_bytes;
-    exec.ledger.traceback_wire_bytes += tb_wire;
-    if (config.staged_traceback_writes) exec.ledger.shared_staged_bytes += tb_bytes;
+    exec_ledger.traceback_bytes += tb_bytes;
+    exec_ledger.traceback_wire_bytes += tb_wire;
+    if (config.staged_traceback_writes) exec_ledger.shared_staged_bytes += tb_bytes;
 
     // Device-resident footprint of this problem: the whole packed rectangle
     // on the dense path (one byte per computed cell), one base block plus
@@ -545,236 +547,145 @@ FastzRun FastzStudy::derive(const FastzConfig& config, const gpusim::DeviceSpec&
                              work.hirschberg_block_rows);
       ++run.hirschberg_tasks;
     }
-    exec.ledger.traceback_resident_bytes += alloc;
+    exec_ledger.traceback_resident_bytes += alloc;
 
     task.mem_bytes = score.traffic + tb_wire + seq_bytes;
-    const std::size_t bin =
-        hb ? hb_slot
-           : (eligible ? 0
-                       : std::min(bin_index(ins.box(), config.bin_edges),
-                                  config.bin_edges.size()));
-    bin_tasks[bin].push_back(task);
-    bin_allocs[bin].push_back(alloc);
-    if (batched) recs.push_back({task, alloc, seq_bytes, seed_ordinal, hb});
+    SlotSums& slot = slots[hb ? hb_slot
+                              : (eligible ? 0
+                                          : std::min(bin_index(ins.box(), config.bin_edges),
+                                                     config.bin_edges.size()))];
+    ++slot.tasks;
+    slot.cells += alloc;
+    slot.warp_instructions += task.warp_instructions;
+    slot.mem_bytes += task.mem_bytes;
+    recs.push_back({task, alloc, seq_bytes, seed_ordinal, hb});
     if (prof != nullptr) {
       gpusim::MemoryLedger task_led = task_traffic_ledger(seq_bytes, score);
       if (config.staged_traceback_writes) task_led.shared_staged_bytes = tb_bytes;
       task_led.traceback_bytes = tb_bytes;
       task_led.traceback_wire_bytes = tb_wire;
       task_led.traceback_resident_bytes = alloc;
-      if (batched) {
-        exec_task_traffic.push_back(task_led);
-      } else {
-        bin_traffic[bin].push_back(task_led);
-      }
+      exec_task_traffic.push_back(task_led);
     }
   }
 
   run.ledger.merge(insp.ledger);
-  run.ledger.merge(exec.ledger);
+  run.ledger.merge(exec_ledger);
 
-  if (!batched) {
-    // ==== Legacy dispatch: chunked inspector launches, a bulk-synchronous
-    // phase barrier, then one executor kernel per length bin. Retained as
-    // the A/B baseline arm. =================================================
-    std::vector<std::vector<gpusim::WarpTask>> insp_chunks;
-    std::vector<gpusim::KernelTag> insp_tags;
-    const std::size_t chunk = std::max<std::uint32_t>(config.inspector_chunk, 1);
-    gpusim::KernelTag insp_tag;
-    insp_tag.name = "inspector";
-    insp_tag.phase = "inspector";
-    insp_tag.shard = shard_index;
-    for (std::size_t begin = 0; begin < insp.tasks.size(); begin += chunk) {
-      const std::size_t end = std::min(insp.tasks.size(), begin + chunk);
-      insp_chunks.emplace_back(insp.tasks.begin() + static_cast<std::ptrdiff_t>(begin),
-                               insp.tasks.begin() + static_cast<std::ptrdiff_t>(end));
-      if (prof != nullptr) {
-        gpusim::KernelTag tag = insp_tag;
-        for (std::size_t k = begin; k < end; ++k) tag.traffic.merge(insp_task_traffic[k]);
-        insp_tags.push_back(std::move(tag));
-      }
-    }
-    run.inspector_launches = insp_chunks.size();
-    run.inspector_cost = sim.run_streamed(
-        insp_chunks, config.streams,
-        prof != nullptr ? std::span<const gpusim::KernelTag>(insp_tags)
-                        : std::span<const gpusim::KernelTag>(&insp_tag, 1));
+  // ---- Launches: the batch scheduler packs seeds into few large launches
+  // and the pipeline scheduler keeps the streams persistently fed —
+  // executor launches chase their own inspector chunk instead of a
+  // per-phase barrier. -------------------------------------------------------
+  const std::size_t n_insp = insp.tasks.size();
+  const std::size_t chunk_count = std::min(kInspectorLaunches, n_insp);
+  std::vector<gpusim::StreamLaunch> launches;
+  std::vector<gpusim::KernelTag> tags;
+  std::uint64_t staging_high_water = 0;
 
-    // Split bins into kernels honoring the device-memory budget. Each kernel
-    // launch is tagged with its bin so the profiler and the Chrome trace can
-    // group executor work by length class.
-    std::vector<std::vector<gpusim::WarpTask>> exec_kernels;
-    std::vector<gpusim::KernelTag> exec_tags;
-    std::vector<std::uint32_t> exec_groups;  // bin id per kernel
-    for (std::size_t bin = 0; bin < bin_tasks.size(); ++bin) {
-      if (bin_tasks[bin].empty()) continue;
-      std::vector<std::vector<gpusim::WarpTask>> batches;
-      std::vector<gpusim::MemoryLedger> batch_traffic;
-      std::vector<gpusim::WarpTask> batch;
-      gpusim::MemoryLedger batch_led;
-      std::uint64_t batch_bytes = 0;
-      for (std::size_t k = 0; k < bin_tasks[bin].size(); ++k) {
-        if (!batch.empty() && batch_bytes + bin_allocs[bin][k] > memory_budget) {
-          batches.push_back(std::move(batch));
-          batch.clear();
-          batch_bytes = 0;
-          batch_traffic.push_back(batch_led);
-          batch_led = gpusim::MemoryLedger{};
-        }
-        batch.push_back(bin_tasks[bin][k]);
-        batch_bytes += bin_allocs[bin][k];
-        if (prof != nullptr) batch_led.merge(bin_traffic[bin][k]);
-      }
-      if (!batch.empty()) {
-        batches.push_back(std::move(batch));
-        batch_traffic.push_back(batch_led);
-      }
-
-      for (std::size_t part = 0; part < batches.size(); ++part) {
-        gpusim::KernelTag tag;
-        tag.name = bin == hb_slot ? "executor.hirschberg"
-                                  : "executor.bin" + std::to_string(bin);
-        if (batches.size() > 1) tag.name += ".part" + std::to_string(part);
-        tag.phase = "executor";
-        tag.bin = static_cast<std::int32_t>(bin);
-        tag.shard = shard_index;
-        if (prof != nullptr) tag.traffic = batch_traffic[part];
-        exec_tags.push_back(std::move(tag));
-        exec_groups.push_back(static_cast<std::uint32_t>(bin));
-        exec_kernels.push_back(std::move(batches[part]));
-      }
-    }
-    run.executor_kernels = exec_kernels.size();
-    // Only batches that split out of the *same* bin contend for that bin's
-    // allocation and must serialize; kernels of different bins overlap
-    // across streams as usual (run_contended delegates to run_streamed when
-    // no bin was split).
-    run.executor_cost =
-        sim.run_contended(exec_kernels, exec_groups, config.streams, exec_tags);
-    run.modeled.inspector_s = run.inspector_cost.time_s;
-    run.modeled.executor_s = run.executor_cost.time_s;
-  } else {
-    // ==== Batched dispatch: the batch scheduler packs seeds into few large
-    // launches and the pipeline scheduler keeps the streams persistently
-    // fed — executor launches chase their own inspector chunk instead of a
-    // per-phase barrier. ====================================================
-    const std::size_t n_insp = insp.tasks.size();
-    const std::size_t chunk_count =
-        n_insp == 0 ? 0
-                    : std::min<std::size_t>(
-                          std::max<std::uint32_t>(config.batch_inspector_launches, 1),
-                          n_insp);
-    std::vector<gpusim::StreamLaunch> launches;
-    std::vector<gpusim::KernelTag> tags;
-    std::uint64_t staging_high_water = 0;
-
-    // Inspector launches: contiguous shard-ordinal ranges, LPT-balanced
-    // inside each launch, sequences staged (double-buffered) for the span
-    // of the launch.
-    std::vector<std::size_t> chunk_begin(chunk_count + 1, 0);
-    for (std::size_t j = 0; j <= chunk_count; ++j) {
-      chunk_begin[j] = chunk_count == 0 ? 0 : j * n_insp / chunk_count;
-    }
-    for (std::size_t j = 0; j < chunk_count; ++j) {
-      const std::size_t begin = chunk_begin[j], end = chunk_begin[j + 1];
-      std::vector<gpusim::BatchTask> range;
-      range.reserve(end - begin);
-      for (std::size_t k = begin; k < end; ++k) {
-        range.push_back({insp.tasks[k], insp_seq[k] * staging_mult});
-      }
-      gpusim::LaunchPlan plan = gpusim::pack_tasks(
-          range, {.memory_budget = 0, .balance = config.batch_balance});
-      gpusim::PackedLaunch& packed = plan.launches.front();  // unlimited: one launch
-      staging_high_water = std::max(staging_high_water, packed.resident_bytes);
-      gpusim::StreamLaunch launch;
-      launch.tasks = std::move(packed.tasks);
-      launch.resident_bytes = packed.resident_bytes;
-      gpusim::KernelTag tag;
-      tag.name = "inspector";
-      tag.phase = "inspector";
-      tag.shard = shard_index;
-      if (prof != nullptr) {
-        for (std::size_t k = begin; k < end; ++k) tag.traffic.merge(insp_task_traffic[k]);
-        tag.traffic.staging_buffer_bytes = packed.resident_bytes;
-      }
-      launches.push_back(std::move(launch));
-      tags.push_back(std::move(tag));
-    }
-    run.inspector_launches = chunk_count;
-
-    // Executor launches: per inspector chunk, dense tasks packed cross-bin
-    // in seed order under the memory budget; Hirschberg tasks packed
-    // separately (their replay work and O(n+m) footprint would hide inside
-    // a dense launch). Each launch depends only on its own chunk's
-    // inspector launch, so chunk k's executors overlap inspector chunk k+1.
-    std::size_t rec_pos = 0;  // recs are in shard-ordinal order
-    for (std::size_t j = 0; j < chunk_count; ++j) {
-      std::vector<gpusim::BatchTask> dense, hirsch;
-      std::vector<std::uint32_t> dense_idx, hirsch_idx;  // indices into recs
-      while (rec_pos < recs.size() && recs[rec_pos].ordinal < chunk_begin[j + 1]) {
-        const ExecRec& rec = recs[rec_pos];
-        (rec.hb ? hirsch : dense)
-            .push_back({rec.task, rec.alloc + rec.seq * staging_mult});
-        (rec.hb ? hirsch_idx : dense_idx).push_back(static_cast<std::uint32_t>(rec_pos));
-        ++rec_pos;
-      }
-      for (int kind = 0; kind < 2; ++kind) {
-        const auto& idxs = kind == 0 ? dense_idx : hirsch_idx;
-        if (idxs.empty()) continue;
-        gpusim::LaunchPlan plan = gpusim::pack_tasks(
-            kind == 0 ? dense : hirsch,
-            {.memory_budget = memory_budget, .balance = config.batch_balance});
-        for (std::size_t p = 0; p < plan.launches.size(); ++p) {
-          gpusim::PackedLaunch& packed = plan.launches[p];
-          gpusim::KernelTag tag;
-          tag.name = kind == 0 ? "executor.batch" + std::to_string(j)
-                               : std::string("executor.hirschberg");
-          if (plan.launches.size() > 1) tag.name += ".part" + std::to_string(p);
-          tag.phase = "executor";
-          tag.bin = kind == 0 ? -1 : static_cast<std::int32_t>(hb_slot);
-          tag.shard = shard_index;
-          std::uint64_t launch_staging = 0;
-          for (const std::uint32_t q : packed.order) {
-            const ExecRec& rec = recs[idxs[q]];
-            launch_staging += rec.seq * staging_mult;
-            if (prof != nullptr) tag.traffic.merge(exec_task_traffic[idxs[q]]);
-          }
-          if (prof != nullptr) tag.traffic.staging_buffer_bytes = launch_staging;
-          staging_high_water = std::max(staging_high_water, launch_staging);
-          gpusim::StreamLaunch launch;
-          launch.tasks = std::move(packed.tasks);
-          launch.resident_bytes = packed.resident_bytes;
-          launch.deps.push_back(static_cast<std::uint32_t>(j));
-          launches.push_back(std::move(launch));
-          tags.push_back(std::move(tag));
-          ++run.executor_kernels;
-        }
-      }
-    }
-    run.ledger.staging_buffer_bytes += staging_high_water;
-
-    const gpusim::PipelineRun pipe =
-        sim.run_pipeline(launches, config.streams, memory_budget, tags);
-    double insp_end = 0.0;
-    for (std::size_t i = 0; i < launches.size(); ++i) {
-      gpusim::KernelCost& phase = i < chunk_count ? run.inspector_cost : run.executor_cost;
-      const gpusim::KernelCost& cost = pipe.launches[i];
-      phase.tasks += cost.tasks;
-      phase.warp_instructions += cost.warp_instructions;
-      phase.mem_bytes += cost.mem_bytes;
-      phase.compute_time_s += cost.compute_time_s;
-      phase.memory_time_s += cost.memory_time_s;
-      phase.launch_overhead_s += cost.launch_overhead_s;
-      if (i < chunk_count) insp_end = std::max(insp_end, pipe.end_s[i]);
-    }
-    // Phase split on the overlapped timeline: the inspector phase ends when
-    // its last launch retires; what remains is the *exposed* executor tail
-    // — the part the end-to-end overlap could not hide.
-    run.modeled.inspector_s = insp_end;
-    run.modeled.executor_s = std::max(0.0, pipe.total.time_s - insp_end);
-    run.inspector_cost.time_s = run.modeled.inspector_s;
-    run.executor_cost.time_s = run.modeled.executor_s;
+  // Inspector launches: contiguous shard-ordinal ranges, LPT-balanced
+  // inside each launch, sequences staged (double-buffered) for the span
+  // of the launch.
+  std::vector<std::size_t> chunk_begin(chunk_count + 1, 0);
+  for (std::size_t j = 0; j <= chunk_count; ++j) {
+    chunk_begin[j] = chunk_count == 0 ? 0 : j * n_insp / chunk_count;
   }
+  for (std::size_t j = 0; j < chunk_count; ++j) {
+    const std::size_t begin = chunk_begin[j], end = chunk_begin[j + 1];
+    std::vector<gpusim::BatchTask> range;
+    range.reserve(end - begin);
+    for (std::size_t k = begin; k < end; ++k) {
+      range.push_back({insp.tasks[k], insp_seq[k] * kStagingBuffers});
+    }
+    gpusim::LaunchPlan plan = gpusim::pack_tasks(range, {.memory_budget = 0});
+    gpusim::PackedLaunch& packed = plan.launches.front();  // unlimited: one launch
+    staging_high_water = std::max(staging_high_water, packed.resident_bytes);
+    gpusim::StreamLaunch launch;
+    launch.tasks = std::move(packed.tasks);
+    launch.resident_bytes = packed.resident_bytes;
+    gpusim::KernelTag tag;
+    tag.name = "inspector";
+    tag.phase = "inspector";
+    tag.shard = shard_index;
+    if (prof != nullptr) {
+      for (std::size_t k = begin; k < end; ++k) tag.traffic.merge(insp_task_traffic[k]);
+      tag.traffic.staging_buffer_bytes = packed.resident_bytes;
+    }
+    launches.push_back(std::move(launch));
+    tags.push_back(std::move(tag));
+  }
+  run.inspector_launches = chunk_count;
+
+  // Executor launches: per inspector chunk, dense tasks packed cross-bin
+  // in seed order under the memory budget; Hirschberg tasks packed
+  // separately (their replay work and O(n+m) footprint would hide inside
+  // a dense launch). Each launch depends only on its own chunk's
+  // inspector launch, so chunk k's executors overlap inspector chunk k+1.
+  std::size_t rec_pos = 0;  // recs are in shard-ordinal order
+  for (std::size_t j = 0; j < chunk_count; ++j) {
+    std::vector<gpusim::BatchTask> dense, hirsch;
+    std::vector<std::uint32_t> dense_idx, hirsch_idx;  // indices into recs
+    while (rec_pos < recs.size() && recs[rec_pos].ordinal < chunk_begin[j + 1]) {
+      const ExecRec& rec = recs[rec_pos];
+      (rec.hb ? hirsch : dense)
+          .push_back({rec.task, rec.alloc + rec.seq * kStagingBuffers});
+      (rec.hb ? hirsch_idx : dense_idx).push_back(static_cast<std::uint32_t>(rec_pos));
+      ++rec_pos;
+    }
+    for (int kind = 0; kind < 2; ++kind) {
+      const auto& idxs = kind == 0 ? dense_idx : hirsch_idx;
+      if (idxs.empty()) continue;
+      gpusim::LaunchPlan plan = gpusim::pack_tasks(kind == 0 ? dense : hirsch,
+                                                   {.memory_budget = memory_budget});
+      for (std::size_t p = 0; p < plan.launches.size(); ++p) {
+        gpusim::PackedLaunch& packed = plan.launches[p];
+        gpusim::KernelTag tag;
+        tag.name = kind == 0 ? "executor.batch" + std::to_string(j)
+                             : std::string("executor.hirschberg");
+        if (plan.launches.size() > 1) tag.name += ".part" + std::to_string(p);
+        tag.phase = "executor";
+        tag.bin = kind == 0 ? -1 : static_cast<std::int32_t>(hb_slot);
+        tag.shard = shard_index;
+        std::uint64_t launch_staging = 0;
+        for (const std::uint32_t q : packed.order) {
+          const ExecRec& rec = recs[idxs[q]];
+          launch_staging += rec.seq * kStagingBuffers;
+          if (prof != nullptr) tag.traffic.merge(exec_task_traffic[idxs[q]]);
+        }
+        if (prof != nullptr) tag.traffic.staging_buffer_bytes = launch_staging;
+        staging_high_water = std::max(staging_high_water, launch_staging);
+        gpusim::StreamLaunch launch;
+        launch.tasks = std::move(packed.tasks);
+        launch.resident_bytes = packed.resident_bytes;
+        launch.deps.push_back(static_cast<std::uint32_t>(j));
+        launches.push_back(std::move(launch));
+        tags.push_back(std::move(tag));
+        ++run.executor_kernels;
+      }
+    }
+  }
+  run.ledger.staging_buffer_bytes += staging_high_water;
+
+  const gpusim::PipelineRun pipe =
+      sim.run_pipeline(launches, config.streams, memory_budget, tags);
+  double insp_end = 0.0;
+  for (std::size_t i = 0; i < launches.size(); ++i) {
+    gpusim::KernelCost& phase = i < chunk_count ? run.inspector_cost : run.executor_cost;
+    const gpusim::KernelCost& cost = pipe.launches[i];
+    phase.tasks += cost.tasks;
+    phase.warp_instructions += cost.warp_instructions;
+    phase.mem_bytes += cost.mem_bytes;
+    phase.compute_time_s += cost.compute_time_s;
+    phase.memory_time_s += cost.memory_time_s;
+    phase.launch_overhead_s += cost.launch_overhead_s;
+    if (i < chunk_count) insp_end = std::max(insp_end, pipe.end_s[i]);
+  }
+  // Phase split on the overlapped timeline: the inspector phase ends when
+  // its last launch retires; what remains is the *exposed* executor tail
+  // — the part the end-to-end overlap could not hide.
+  run.modeled.inspector_s = insp_end;
+  run.modeled.executor_s = std::max(0.0, pipe.total.time_s - insp_end);
+  run.inspector_cost.time_s = run.modeled.inspector_s;
+  run.executor_cost.time_s = run.modeled.executor_s;
 
   // ---- Host ("other") component. ------------------------------------------
   std::uint64_t copy_bytes = sequence_bytes_;        // sequences to the device
@@ -787,7 +698,7 @@ FastzRun FastzStudy::derive(const FastzConfig& config, const gpusim::DeviceSpec&
   run.modeled.other_s = static_cast<double>(sequence_bytes_) * kHostPrepPerSequenceByte +
                         static_cast<double>(run.seeds) * kHostPerSeed +
                         static_cast<double>(copy_bytes) / (device.pcie_bandwidth_gbps * 1e9);
-  if (telemetry::enabled()) record_derive(run, bin_tasks, bin_allocs);
+  if (telemetry::enabled()) record_derive(run, slots);
   if (prof != nullptr) prof->note_seeds(run.seeds, run.eager_handled);
   return run;
 }

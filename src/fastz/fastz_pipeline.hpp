@@ -52,8 +52,9 @@ struct FastzRun {
   std::uint64_t seeds = 0;
   std::uint64_t eager_handled = 0;    // seeds finished by eager traceback
   std::uint64_t executor_tasks = 0;
-  // Executor kernel launches: legacy dispatch = bin kernels after memory
-  // batching; batched dispatch = packed cross-bin launches.
+  // Executor kernel launches: the packed cross-bin launches, at most one
+  // dense and one Hirschberg launch per inspector launch unless the memory
+  // budget splits a pack.
   std::uint64_t executor_kernels = 0;
   std::uint64_t inspector_launches = 0;  // inspector kernel launches
   std::uint64_t inspector_cells = 0;  // search-space cells (conservative y-drop)

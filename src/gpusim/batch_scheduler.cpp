@@ -33,7 +33,6 @@ LaunchPlan pack_tasks(std::span<const BatchTask> tasks, const PackOptions& optio
   }
   flush();
 
-  if (!options.balance) return plan;
   for (PackedLaunch& launch : plan.launches) {
     // LPT with input-index tiebreak: a full deterministic order, so the
     // plan (and every modeled time derived from it) is reproducible.

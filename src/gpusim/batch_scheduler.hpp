@@ -8,20 +8,18 @@
 //
 //   * first-fit packing under the device memory budget — a launch closes
 //     exactly when the next task's resident allocation would overflow the
-//     budget (the same split condition the per-bin memory batcher used), so
-//     an unlimited budget yields one launch;
-//   * optional LPT (longest-processing-time-first) ordering *inside* each
-//     launch, the classic makespan-minimizing list order for greedy list
+//     budget, so an unlimited budget yields one launch;
+//   * LPT (longest-processing-time-first) ordering *inside* each launch,
+//     the classic makespan-minimizing list order for greedy list
 //     scheduling — SaLoBa-style intra-launch balance. The permutation is
 //     retained (`PackedLaunch::order`) so every per-task quantity can be
 //     restored to seed-index order and results stay bit-identical; the
 //     reorder only changes the modeled schedule.
 //
-// Consumers: FastzStudy::derive()'s batched dispatch arm builds its
-// inspector and executor launches here, then feeds them to
-// KernelSimulator::run_pipeline() with dependencies so executor launches
-// chase their inspector chunk end-to-end instead of per-phase bulk
-// synchrony.
+// Consumer: FastzStudy::derive() builds its inspector and executor
+// launches here, then feeds them to KernelSimulator::run_pipeline() with
+// dependencies so executor launches chase their inspector chunk end-to-end
+// instead of per-phase bulk synchrony.
 #pragma once
 
 #include <cstdint>
@@ -55,9 +53,6 @@ struct PackOptions {
   // task larger than the budget still gets a launch of its own — the
   // scheduler packs, it does not shrink tasks.
   std::uint64_t memory_budget = 0;
-  // LPT-sort tasks inside each launch (ties broken by input index, so the
-  // plan is deterministic). Off = keep input order, the A/B baseline.
-  bool balance = true;
 };
 
 struct LaunchPlan {
@@ -86,8 +81,10 @@ struct LaunchPlan {
   }
 };
 
-// Packs `tasks` (in input order) into launches under `options`. Every input
-// index appears exactly once across the plan's `order` vectors.
+// Packs `tasks` (in input order) into launches under `options`, then
+// LPT-sorts each launch (ties broken by input index, so the plan is
+// deterministic). Every input index appears exactly once across the plan's
+// `order` vectors.
 LaunchPlan pack_tasks(std::span<const BatchTask> tasks, const PackOptions& options);
 
 // Greedy list-schedule makespan of `tasks` in the given order over `slots`

@@ -224,134 +224,6 @@ KernelCost KernelSimulator::run_kernel(std::span<const WarpTask> tasks,
   return cost;
 }
 
-KernelCost KernelSimulator::run_streamed(const std::vector<std::vector<WarpTask>>& chunks,
-                                         std::uint32_t streams) const {
-  return run_streamed(chunks, streams, {});
-}
-
-KernelCost KernelSimulator::run_streamed(const std::vector<std::vector<WarpTask>>& chunks,
-                                         std::uint32_t streams,
-                                         std::span<const KernelTag> tags) const {
-  auto chunk_tag = [&](std::size_t i) -> KernelTag {
-    if (tags.empty()) return KernelTag{};
-    return tags.size() == 1 ? tags.front() : tags[i];
-  };
-
-  ProfilerSession* session = ProfilerSession::active();
-  KernelCost total;
-  if (streams <= 1) {
-    // Serialized chunks: every chunk pays its own bulk-synchronous tail.
-    for (std::size_t i = 0; i < chunks.size(); ++i) {
-      KernelCost c;
-      if (session == nullptr) {
-        c = simulate(chunks[i], nullptr);
-        if (telemetry::enabled()) record_kernel_cost(c);
-      } else {
-        KernelTag tag = chunk_tag(i);
-        tag.stream = 0;
-        if (tags.size() == 1 && i > 0) tag.traffic = MemoryLedger{};
-        c = run_kernel(chunks[i], tag);
-      }
-      total.time_s += c.time_s;
-      total.compute_time_s += c.compute_time_s;
-      total.memory_time_s += c.memory_time_s;
-      total.launch_overhead_s += c.launch_overhead_s;
-      total.tasks += c.tasks;
-      total.warp_instructions += c.warp_instructions;
-      total.mem_bytes += c.mem_bytes;
-    }
-    return total;
-  }
-
-  // Streams overlap chunk execution: the device sees one pooled schedule.
-  // Because every stream's first kernel launches at t = 0, a kernel holding
-  // long tasks (a high bin) gets its long tasks started immediately; model
-  // that with longest-processing-time ordering of the pooled task list (the
-  // classic makespan-minimizing list order).
-  std::vector<WarpTask> pooled;
-  std::size_t total_tasks = 0;
-  for (const auto& chunk : chunks) total_tasks += chunk.size();
-  pooled.reserve(total_tasks);
-  for (const auto& chunk : chunks) pooled.insert(pooled.end(), chunk.begin(), chunk.end());
-  std::sort(pooled.begin(), pooled.end(), [](const WarpTask& x, const WarpTask& y) {
-    return x.warp_instructions > y.warp_instructions;
-  });
-
-  total = simulate(pooled, nullptr);
-  // Launch overheads stay per-chunk but overlap across streams.
-  const std::size_t chunks_per_stream =
-      (chunks.size() + streams - 1) / std::max<std::uint32_t>(streams, 1);
-  total.launch_overhead_s = spec_.kernel_launch_overhead_s *
-                            static_cast<double>(std::max<std::size_t>(chunks_per_stream, 1));
-  total.time_s = std::max(total.compute_time_s, total.memory_time_s) +
-                 total.launch_overhead_s;
-  if (telemetry::enabled()) record_kernel_cost(total);
-
-  if (session != nullptr) {
-    // Per-chunk profiles on a per-stream timeline. Each chunk is costed
-    // standalone for its counters; intervals are then scaled so the longest
-    // stream lane spans exactly the pooled (overlapped) total — the
-    // timeline stays consistent with the modeled wall-clock.
-    const double base = session->now_s();
-    std::vector<double> cursor(streams, 0.0);
-    std::vector<KernelProfile> profiles;
-    profiles.reserve(chunks.size());
-    double longest = 0.0;
-    for (std::size_t i = 0; i < chunks.size(); ++i) {
-      KernelProfile profile;
-      profile.tag = chunk_tag(i);
-      profile.tag.stream = static_cast<std::uint32_t>(i % streams);
-      // A shared base tag cannot split its traffic across chunks — attribute
-      // it once (first chunk) instead of duplicating it per launch.
-      if (tags.size() == 1 && i > 0) profile.tag.traffic = MemoryLedger{};
-      profile.cost = simulate(chunks[i], &profile.counters);
-      profile.counters.traffic = profile.tag.traffic;
-      profile.start_s = cursor[profile.tag.stream];
-      profile.end_s = profile.start_s + profile.cost.time_s;
-      cursor[profile.tag.stream] = profile.end_s;
-      longest = std::max(longest, profile.end_s);
-      profiles.push_back(std::move(profile));
-    }
-    const double scale = longest > 0.0 ? total.time_s / longest : 1.0;
-    for (KernelProfile& profile : profiles) {
-      profile.start_s = base + profile.start_s * scale;
-      profile.end_s = base + profile.end_s * scale;
-      record_profiled_launch(profile);
-      session->record(std::move(profile));
-    }
-    session->advance(total.time_s);
-  }
-  return total;
-}
-
-KernelCost KernelSimulator::run_contended(const std::vector<std::vector<WarpTask>>& chunks,
-                                          std::span<const std::uint32_t> groups,
-                                          std::uint32_t streams,
-                                          std::span<const KernelTag> tags) const {
-  bool contended = false;
-  if (streams > 1 && groups.size() == chunks.size()) {
-    std::vector<std::uint32_t> seen(groups.begin(), groups.end());
-    std::sort(seen.begin(), seen.end());
-    contended = std::adjacent_find(seen.begin(), seen.end()) != seen.end();
-  }
-  if (!contended) return run_streamed(chunks, streams, tags);
-
-  // A split bin's batches reuse one allocation and must retire in turn;
-  // express that as dependency chains per group and let the pipeline
-  // scheduler overlap everything else. Unlimited budget: the chains *are*
-  // the memory constraint here.
-  std::vector<StreamLaunch> launches(chunks.size());
-  std::vector<std::uint32_t> last_of_group;
-  for (std::size_t i = 0; i < chunks.size(); ++i) {
-    launches[i].tasks = chunks[i];
-    const std::uint32_t g = groups[i];
-    if (g >= last_of_group.size()) last_of_group.resize(g + 1, UINT32_MAX);
-    if (last_of_group[g] != UINT32_MAX) launches[i].deps.push_back(last_of_group[g]);
-    last_of_group[g] = static_cast<std::uint32_t>(i);
-  }
-  return run_pipeline(launches, streams, 0, tags).total;
-}
-
 PipelineRun KernelSimulator::run_pipeline(std::span<const StreamLaunch> launches,
                                           std::uint32_t streams,
                                           std::uint64_t memory_budget,

@@ -7,7 +7,8 @@
 // motivates length binning (Section 3.3). The simulator list-schedules the
 // tasks onto the device's execution slots and reports the makespan together
 // with the memory-bandwidth roofline time — whichever dominates is the
-// kernel's modeled time.
+// kernel's modeled time. Several launches on streams are costed together by
+// run_pipeline, the one multi-launch schedule.
 #pragma once
 
 #include <cstdint>
@@ -29,8 +30,8 @@ struct WarpTask {
   // Global-memory bytes this task moves.
   std::uint64_t mem_bytes = 0;
 };
-// The struct is deliberately two words: derive() builds, batches, pools,
-// and sorts vectors of these on its hot path, and growing it measurably
+// The struct is deliberately two words: derive() builds, packs, and sorts
+// vectors of these on its hot path, and growing it measurably
 // slows the unprofiled sweep. Per-level traffic attribution therefore
 // rides on the *launch* (KernelTag::traffic, filled only while a
 // ProfilerSession is installed), not on the task.
@@ -51,7 +52,7 @@ struct KernelCost {
 // list, the device allocation it holds while in flight, and the indices of
 // earlier launches that must retire before it may start (the batched
 // dispatcher chains each executor launch after the inspector launch that
-// produced its seeds). Tags ride in a separate span, like run_streamed's.
+// produced its seeds). Tags ride in a separate span.
 struct StreamLaunch {
   std::vector<WarpTask> tasks;
   std::uint64_t resident_bytes = 0;
@@ -82,32 +83,6 @@ class KernelSimulator {
   KernelCost run_kernel(std::span<const WarpTask> tasks) const;
   KernelCost run_kernel(std::span<const WarpTask> tasks, const KernelTag& tag) const;
 
-  // A sequence of kernels (chunks). With `streams == 1` the chunks are
-  // serialized — each pays its own bulk-synchronous tail (the FastZ
-  // single-stream ablation). With more streams, chunks overlap: tasks pool
-  // into one schedule and only the launch overheads stay per-chunk
-  // (Section 3.4, "Streams").
-  //
-  // `tags` labels the chunk launches: empty = default tags, one entry = the
-  // shared base tag for every chunk, otherwise one tag per chunk. Stream
-  // ids in the tags are overwritten with the simulator's round-robin stream
-  // assignment.
-  KernelCost run_streamed(const std::vector<std::vector<WarpTask>>& chunks,
-                          std::uint32_t streams) const;
-  KernelCost run_streamed(const std::vector<std::vector<WarpTask>>& chunks,
-                          std::uint32_t streams, std::span<const KernelTag> tags) const;
-
-  // run_streamed with per-chunk contention groups: chunks sharing a group
-  // id contend for the same allocation budget and serialize against each
-  // other; chunks in different groups overlap across streams as usual.
-  // With no duplicated group id (or one stream) this is exactly
-  // run_streamed — the legacy dispatch path stays bit-identical when the
-  // memory batcher did not split any bin.
-  KernelCost run_contended(const std::vector<std::vector<WarpTask>>& chunks,
-                           std::span<const std::uint32_t> groups,
-                           std::uint32_t streams,
-                           std::span<const KernelTag> tags) const;
-
   // Persistently-fed stream schedule over whole launches: each launch is
   // costed standalone (its own bulk-synchronous tail and launch overhead)
   // and greedily placed on the earliest-free of `streams` lanes, no earlier
@@ -116,9 +91,10 @@ class KernelSimulator {
   // (0 = unlimited). Device-wide capacity floors (sustained issue
   // throughput, memory bandwidth over the aggregate work) then stretch the
   // schedule uniformly when the lanes alone would exceed what one device
-  // can co-issue. Tags follow run_streamed's convention (empty / shared /
-  // per-launch); stream ids are overwritten with the assigned lane. The
-  // profiled and unprofiled paths model identical costs.
+  // can co-issue. `tags` labels the launches: empty = default tags, one
+  // entry = a shared base tag (its traffic attributed to the first launch
+  // only), otherwise one tag per launch; stream ids are overwritten with the
+  // assigned lane. The profiled and unprofiled paths model identical costs.
   PipelineRun run_pipeline(std::span<const StreamLaunch> launches,
                            std::uint32_t streams, std::uint64_t memory_budget,
                            std::span<const KernelTag> tags = {}) const;

@@ -42,9 +42,9 @@ struct MemoryLedger {
   // checkpoints, O(n + m) per task. This is the number the linear-space
   // path exists to shrink.
   std::uint64_t traceback_resident_bytes = 0;
-  // Device-resident sequence staging of the batched dispatcher: the bases a
-  // packed launch keeps staged while it runs, doubled when the scheduler
-  // double-buffers so the next launch's sequences upload under the current
+  // Device-resident sequence staging of the dispatcher: the bases a packed
+  // launch keeps staged while it runs, doubled because staging is
+  // double-buffered so the next launch's sequences upload under the current
   // one. High-water footprint of one derive (an allocation, not traffic —
   // hence not in device_bytes()); merge() sums footprints like
   // traceback_resident_bytes.

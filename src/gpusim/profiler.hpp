@@ -48,8 +48,8 @@ struct KernelTag {
   // Per-level traffic attribution of this launch, filled by the caller only
   // while a ProfilerSession is installed (WarpTask stays two words so the
   // unprofiled scheduling path keeps its footprint — see kernel_sim.hpp).
-  // In run_streamed, a single shared base tag attributes its traffic to the
-  // first chunk only; per-chunk tags attribute exactly.
+  // In run_pipeline, a single shared base tag attributes its traffic to the
+  // first launch only; per-launch tags attribute exactly.
   MemoryLedger traffic;
   // Owning service batch / request (zero when the launch happened outside
   // the alignment service). Callers normally leave these zero:
@@ -131,8 +131,8 @@ class ProfilerSession {
 
   // ---- Recording (called by KernelSimulator / the pipeline). --------------
   void record(KernelProfile profile);
-  // Simulated-timeline cursor: kernels are placed end-to-end per phase,
-  // overlapping across streams within one run_streamed call.
+  // Simulated-timeline cursor: kernels are placed end-to-end per call,
+  // overlapping across streams within one run_pipeline call.
   double now_s() const;
   void advance(double dt);
   // Pipeline-level tallies behind the summary ratios.

@@ -13,30 +13,6 @@ TEST(FastzConfig, FullEnablesEverything) {
   EXPECT_TRUE(c.staged_traceback_writes);
   EXPECT_EQ(c.streams, 32u);
   EXPECT_EQ(c.eager_tile, 16u);
-  // The batched dispatcher is the default arm, with balance and
-  // double-buffered staging on.
-  EXPECT_EQ(c.dispatch, DispatchMode::kBatched);
-  EXPECT_TRUE(c.batch_balance);
-  EXPECT_TRUE(c.batch_double_buffer);
-  EXPECT_GE(c.batch_inspector_launches, 1u);
-}
-
-TEST(FastzConfig, LegacyDispatchOnlyChangesTheArm) {
-  const FastzConfig legacy = FastzConfig::legacy_dispatch();
-  EXPECT_EQ(legacy.dispatch, DispatchMode::kLegacy);
-  // Everything else matches full(): the A/B isolates dispatch alone.
-  const FastzConfig full = FastzConfig::full();
-  EXPECT_EQ(legacy.cyclic_buffers, full.cyclic_buffers);
-  EXPECT_EQ(legacy.eager_traceback, full.eager_traceback);
-  EXPECT_EQ(legacy.executor_trimming, full.executor_trimming);
-  EXPECT_EQ(legacy.staged_traceback_writes, full.staged_traceback_writes);
-  EXPECT_EQ(legacy.streams, full.streams);
-  EXPECT_EQ(legacy.inspector_chunk, full.inspector_chunk);
-
-  FastzConfig toggled = FastzConfig::full().with_dispatch(DispatchMode::kLegacy);
-  EXPECT_EQ(toggled.dispatch, DispatchMode::kLegacy);
-  toggled.with_dispatch(DispatchMode::kBatched);
-  EXPECT_EQ(toggled.dispatch, DispatchMode::kBatched);
 }
 
 TEST(FastzConfig, PaperBinBoundaries) {

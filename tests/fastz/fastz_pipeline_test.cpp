@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <string>
+
 #include "gpusim/profiler.hpp"
 #include "sequence/genome_synth.hpp"
+#include "telemetry/metrics.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace fastz {
 namespace {
@@ -309,6 +315,53 @@ TEST(FastzPipeline, ProfilerSeesTheHirschbergKernelSlot) {
     EXPECT_GT(k.tag.traffic.traceback_resident_bytes, 0u);
   }
   EXPECT_TRUE(saw_hirschberg);
+}
+
+TEST(FastzPipeline, DeriveTelemetryPinsPerSlotExecutorCounters) {
+  // `fastz.executor.bin<k>.*` / `fastz.executor.hirschberg.*` sum the
+  // executor tasks per length bin, with Hirschberg tasks in their own slot.
+  // Task counts and resident bytes ("cells") are recomputed here from the
+  // study's per-seed records; instructions and bytes must sum to the
+  // executor phase's totals.
+  const FastzStudy& study = longtail().study;
+  const FastzConfig config = FastzConfig::full();
+  constexpr std::size_t kSlots = 6;  // bins 0..3, overflow, Hirschberg
+  std::array<std::uint64_t, kSlots> tasks{};
+  std::array<std::uint64_t, kSlots> cells{};
+  for (const SeedWork& work : study.seed_work()) {
+    if (eager_eligible(work.inspection, config.eager_tile)) continue;
+    const std::size_t slot =
+        work.hirschberg ? kSlots - 1
+                        : std::min(bin_index(work.inspection.box(), config.bin_edges),
+                                   config.bin_edges.size());
+    ++tasks[slot];
+    cells[slot] += work.hirschberg
+                       ? work.trimmed_tb_peak_bytes + work.trimmed_checkpoint_bytes
+                       : work.trimmed_cells;
+  }
+  ASSERT_GT(tasks[kSlots - 1], 0u);
+
+  auto& reg = telemetry::MetricsRegistry::global();
+  FastzRun run;
+  {
+    const telemetry::ScopedEnable on;
+    reg.reset_values();
+    run = study.derive(config, kAmpere);
+  }
+  std::uint64_t instructions = 0, mem_bytes = 0, resident = 0;
+  for (std::size_t slot = 0; slot < kSlots; ++slot) {
+    const std::string prefix = slot + 1 == kSlots
+                                   ? std::string("fastz.executor.hirschberg")
+                                   : "fastz.executor.bin" + std::to_string(slot);
+    EXPECT_EQ(reg.counter(prefix + ".tasks").value(), tasks[slot]) << prefix;
+    EXPECT_EQ(reg.counter(prefix + ".cells").value(), cells[slot]) << prefix;
+    instructions += reg.counter(prefix + ".warp_instructions").value();
+    mem_bytes += reg.counter(prefix + ".mem_bytes").value();
+    resident += reg.counter(prefix + ".cells").value();
+  }
+  EXPECT_EQ(instructions, run.executor_cost.warp_instructions);
+  EXPECT_EQ(mem_bytes, run.executor_cost.mem_bytes);
+  EXPECT_EQ(resident, run.ledger.traceback_resident_bytes);
 }
 
 TEST(FastzPipeline, RunFastzWrapperReturnsAlignments) {

@@ -1,7 +1,7 @@
-// Unit tests of the cross-seed batch scheduler (satellite of the batched-
-// dispatch PR): packing respects the memory budget, the LPT balance order
-// never loses to input order under greedy list scheduling, and the packing
-// permutation round-trips so batched results can stay seed-index-ordered.
+// Unit tests of the cross-seed batch scheduler: packing respects the memory
+// budget, the LPT balance order never loses to input order under greedy
+// list scheduling, and the packing permutation round-trips so batched
+// results can stay seed-index-ordered.
 #include "gpusim/batch_scheduler.hpp"
 
 #include <gtest/gtest.h>
@@ -34,7 +34,7 @@ std::vector<BatchTask> mixed_tasks(std::size_t n, std::uint64_t seed) {
 
 TEST(BatchScheduler, UnlimitedBudgetPacksOneLaunch) {
   const auto tasks = mixed_tasks(257, 1);
-  const LaunchPlan plan = pack_tasks(tasks, {.memory_budget = 0, .balance = true});
+  const LaunchPlan plan = pack_tasks(tasks, {.memory_budget = 0});
   ASSERT_EQ(plan.launches.size(), 1u);
   EXPECT_EQ(plan.total_tasks(), tasks.size());
   std::uint64_t resident = 0, instr = 0, bytes = 0;
@@ -51,7 +51,7 @@ TEST(BatchScheduler, UnlimitedBudgetPacksOneLaunch) {
 TEST(BatchScheduler, BudgetIsRespectedByEveryLaunch) {
   const auto tasks = mixed_tasks(400, 2);
   const std::uint64_t budget = 60000;  // forces many splits at ~5.5 kB/task
-  const LaunchPlan plan = pack_tasks(tasks, {.memory_budget = budget, .balance = true});
+  const LaunchPlan plan = pack_tasks(tasks, {.memory_budget = budget});
   ASSERT_GT(plan.launches.size(), 1u);
   EXPECT_EQ(plan.total_tasks(), tasks.size());
   for (const PackedLaunch& l : plan.launches) {
@@ -62,14 +62,14 @@ TEST(BatchScheduler, BudgetIsRespectedByEveryLaunch) {
 
 TEST(BatchScheduler, LaunchClosesExactlyOnOverflow) {
   // Three tasks of 40 each against a budget of 100: the third would make
-  // 120 > 100, so the split lands after two — the legacy memory batcher's
-  // condition exactly (close when resident + next > budget).
+  // 120 > 100, so the split lands after two (close when resident + next >
+  // budget).
   std::vector<BatchTask> tasks(3);
   for (auto& t : tasks) {
     t.work.warp_instructions = 10;
     t.resident_bytes = 40;
   }
-  const LaunchPlan plan = pack_tasks(tasks, {.memory_budget = 100, .balance = false});
+  const LaunchPlan plan = pack_tasks(tasks, {.memory_budget = 100});
   ASSERT_EQ(plan.launches.size(), 2u);
   EXPECT_EQ(plan.launches[0].tasks.size(), 2u);
   EXPECT_EQ(plan.launches[1].tasks.size(), 1u);
@@ -79,7 +79,7 @@ TEST(BatchScheduler, LaunchClosesExactlyOnOverflow) {
   tasks[2].resident_bytes = 20;
   tasks[3].resident_bytes = 0;
   tasks.pop_back();
-  const LaunchPlan fits = pack_tasks(tasks, {.memory_budget = 100, .balance = false});
+  const LaunchPlan fits = pack_tasks(tasks, {.memory_budget = 100});
   EXPECT_EQ(fits.launches.size(), 1u);
 }
 
@@ -89,7 +89,7 @@ TEST(BatchScheduler, OversizedTaskGetsItsOwnLaunch) {
   tasks[1].resident_bytes = 500;  // alone over the budget: admitted solo
   tasks[2].resident_bytes = 10;
   for (auto& t : tasks) t.work.warp_instructions = 1;
-  const LaunchPlan plan = pack_tasks(tasks, {.memory_budget = 100, .balance = false});
+  const LaunchPlan plan = pack_tasks(tasks, {.memory_budget = 100});
   ASSERT_EQ(plan.launches.size(), 3u);
   EXPECT_EQ(plan.launches[1].tasks.size(), 1u);
   EXPECT_EQ(plan.launches[1].resident_bytes, 500u);
@@ -99,7 +99,7 @@ TEST(BatchScheduler, OversizedTaskGetsItsOwnLaunch) {
 TEST(BatchScheduler, EveryInputIndexAppearsExactlyOnce) {
   const auto tasks = mixed_tasks(333, 3);
   for (const std::uint64_t budget : {std::uint64_t{0}, std::uint64_t{50000}}) {
-    const LaunchPlan plan = pack_tasks(tasks, {.memory_budget = budget, .balance = true});
+    const LaunchPlan plan = pack_tasks(tasks, {.memory_budget = budget});
     std::vector<std::uint32_t> seen;
     for (const PackedLaunch& l : plan.launches) {
       ASSERT_EQ(l.tasks.size(), l.order.size());
@@ -111,20 +111,9 @@ TEST(BatchScheduler, EveryInputIndexAppearsExactlyOnce) {
   }
 }
 
-TEST(BatchScheduler, BalanceOffKeepsInputOrder) {
-  const auto tasks = mixed_tasks(64, 4);
-  const LaunchPlan plan = pack_tasks(tasks, {.memory_budget = 0, .balance = false});
-  ASSERT_EQ(plan.launches.size(), 1u);
-  for (std::uint32_t p = 0; p < plan.launches[0].order.size(); ++p) {
-    EXPECT_EQ(plan.launches[0].order[p], p);
-    EXPECT_EQ(plan.launches[0].tasks[p].warp_instructions,
-              tasks[p].work.warp_instructions);
-  }
-}
-
 TEST(BatchScheduler, BalanceSortsLongestFirstDeterministically) {
   const auto tasks = mixed_tasks(64, 5);
-  const LaunchPlan plan = pack_tasks(tasks, {.memory_budget = 0, .balance = true});
+  const LaunchPlan plan = pack_tasks(tasks, {.memory_budget = 0});
   ASSERT_EQ(plan.launches.size(), 1u);
   const PackedLaunch& l = plan.launches[0];
   for (std::size_t p = 1; p < l.tasks.size(); ++p) {
@@ -148,7 +137,7 @@ TEST(BatchScheduler, LptNeverLosesToInputOrder) {
     const auto tasks = mixed_tasks(100 + seed * 13, seed);
     std::vector<WarpTask> input_order;
     for (const BatchTask& t : tasks) input_order.push_back(t.work);
-    const LaunchPlan plan = pack_tasks(tasks, {.memory_budget = 0, .balance = true});
+    const LaunchPlan plan = pack_tasks(tasks, {.memory_budget = 0});
     ASSERT_EQ(plan.launches.size(), 1u);
     for (const std::uint32_t slots : {1u, 4u, 68u, 1000u}) {
       const double lpt = list_makespan(plan.launches[0].tasks, slots);
@@ -160,7 +149,7 @@ TEST(BatchScheduler, LptNeverLosesToInputOrder) {
 
 TEST(BatchScheduler, RestoreUndoesThePackingPermutation) {
   const auto tasks = mixed_tasks(200, 6);
-  const LaunchPlan plan = pack_tasks(tasks, {.memory_budget = 70000, .balance = true});
+  const LaunchPlan plan = pack_tasks(tasks, {.memory_budget = 70000});
   ASSERT_GT(plan.launches.size(), 1u);
   // Lay per-task values out exactly as the plan ordered them...
   std::vector<std::vector<std::uint64_t>> per_launch;
@@ -180,12 +169,12 @@ TEST(BatchScheduler, RestoreUndoesThePackingPermutation) {
 }
 
 TEST(BatchScheduler, EmptyInputYieldsEmptyPlan) {
-  const LaunchPlan plan = pack_tasks({}, {.memory_budget = 100, .balance = true});
+  const LaunchPlan plan = pack_tasks({}, {.memory_budget = 100});
   EXPECT_TRUE(plan.launches.empty());
   EXPECT_EQ(plan.total_tasks(), 0u);
 }
 
-// --- run_pipeline / run_contended scheduling semantics -------------------
+// --- run_pipeline scheduling semantics ------------------------------------
 
 TEST(BatchScheduler, PipelineHonorsDependencies) {
   const KernelSimulator sim(rtx3080_ampere());
@@ -214,35 +203,6 @@ TEST(BatchScheduler, PipelineMemoryBudgetSerializesContendingLaunches) {
   // Together 1200 > 1000: the second launch must wait for the first.
   EXPECT_GE(serialized.start_s[1], serialized.end_s[0] - 1e-12);
   EXPECT_GT(serialized.total.time_s, overlapped.total.time_s);
-}
-
-TEST(BatchScheduler, ContendedWithoutDuplicatesMatchesRunStreamed) {
-  const KernelSimulator sim(rtx3080_ampere());
-  std::vector<std::vector<WarpTask>> chunks(4);
-  for (std::size_t i = 0; i < chunks.size(); ++i) {
-    chunks[i].assign(16 + i * 8, WarpTask{500000 + i * 1000, 4096});
-  }
-  const std::vector<std::uint32_t> groups = {0, 1, 2, 3};
-  const KernelCost contended = sim.run_contended(chunks, groups, 8, {});
-  const KernelCost streamed = sim.run_streamed(chunks, 8);
-  EXPECT_DOUBLE_EQ(contended.time_s, streamed.time_s);
-  EXPECT_EQ(contended.tasks, streamed.tasks);
-}
-
-TEST(BatchScheduler, ContendedSerializesOnlySharedGroups) {
-  const KernelSimulator sim(rtx3080_ampere());
-  std::vector<std::vector<WarpTask>> chunks(3);
-  for (auto& c : chunks) c.assign(48, WarpTask{2000000, 1 << 16});
-  // Chunks 0 and 1 split from one bin (shared group): they serialize
-  // against each other; chunk 2 (its own group) still overlaps — the
-  // whole-phase cost must stay below full serialization.
-  const std::vector<std::uint32_t> shared = {7, 7, 9};
-  const KernelCost contended = sim.run_contended(chunks, shared, 8, {});
-  const KernelCost serial = sim.run_streamed(chunks, 1);
-  const std::vector<std::uint32_t> distinct = {1, 2, 3};
-  const KernelCost free_overlap = sim.run_contended(chunks, distinct, 8, {});
-  EXPECT_GE(contended.time_s, free_overlap.time_s - 1e-12);
-  EXPECT_LT(contended.time_s, serial.time_s);
 }
 
 }  // namespace

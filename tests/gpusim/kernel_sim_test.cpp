@@ -45,9 +45,16 @@ TEST(KernelSim, MemoryRooflineBinds) {
               100.0 * 100e6 / sim.spec().sustained_bandwidth_bytes_per_s(), 1e-9);
 }
 
+// Independent launches (no deps) for the pipeline scheduler.
+std::vector<StreamLaunch> as_launches(const std::vector<std::vector<WarpTask>>& chunks) {
+  std::vector<StreamLaunch> launches(chunks.size());
+  for (std::size_t i = 0; i < chunks.size(); ++i) launches[i].tasks = chunks[i];
+  return launches;
+}
+
 TEST(KernelSim, StreamsOverlapChunkTails) {
-  // Chunks each containing one long task: serialized (1 stream) they pay
-  // every tail; pooled (32 streams) the tails overlap.
+  // Launches each containing one long task: serialized (1 stream) they pay
+  // every tail; on 32 streams the tails overlap.
   const KernelSimulator sim = make_sim();
   std::vector<std::vector<WarpTask>> chunks;
   for (int c = 0; c < 16; ++c) {
@@ -55,19 +62,20 @@ TEST(KernelSim, StreamsOverlapChunkTails) {
     chunk.push_back({200'000, 0});
     chunks.push_back(std::move(chunk));
   }
-  const double single = sim.run_streamed(chunks, 1).time_s;
-  const double multi = sim.run_streamed(chunks, 32).time_s;
+  const std::vector<StreamLaunch> launches = as_launches(chunks);
+  const double single = sim.run_pipeline(launches, 1, 0).total.time_s;
+  const double multi = sim.run_pipeline(launches, 32, 0).total.time_s;
   EXPECT_GT(single, multi * 1.5);
 }
 
 TEST(KernelSim, StreamedPreservesTotals) {
   const KernelSimulator sim = make_sim();
-  std::vector<std::vector<WarpTask>> chunks = {
+  const std::vector<StreamLaunch> launches = as_launches({
       {{100, 10}, {200, 20}},
       {{300, 30}},
-  };
+  });
   for (std::uint32_t streams : {1u, 32u}) {
-    const KernelCost c = sim.run_streamed(chunks, streams);
+    const KernelCost c = sim.run_pipeline(launches, streams, 0).total;
     EXPECT_EQ(c.tasks, 3u);
     EXPECT_EQ(c.warp_instructions, 600u);
     EXPECT_EQ(c.mem_bytes, 60u);

@@ -207,17 +207,21 @@ TEST(ProfilerSession, InactiveSessionRecordsNothing) {
 }
 
 TEST(ProfilerSession, StreamedLaunchesRoundRobinStreamsAndScaleTimeline) {
+  // Four equal launches of two 1 us tasks on two streams: the lanes
+  // alternate 0,1,0,1 and stack to a 2 us makespan, but the device issues
+  // only 2 warp-instructions per ns, so the 8000-instruction total needs
+  // 4 us — the issue floor stretches the timeline by 2x.
   const KernelSimulator sim(unit_device());
-  const std::vector<std::vector<WarpTask>> chunks = {
-      {{1000, 0}}, {{2000, 0}}, {{3000, 0}}, {{4000, 0}}};
+  std::vector<StreamLaunch> launches(4);
+  for (StreamLaunch& launch : launches) launch.tasks = {{1000, 0}, {1000, 0}};
   KernelTag base = named_tag("executor.bin1", "executor");
   base.bin = 1;
 
   ProfilerSession session;
-  KernelCost total;
+  PipelineRun run;
   {
     const ScopedProfiler scoped(session);
-    total = sim.run_streamed(chunks, 2, std::span<const KernelTag>(&base, 1));
+    run = sim.run_pipeline(launches, 2, 0, std::span<const KernelTag>(&base, 1));
   }
 
   const auto kernels = session.kernels();
@@ -227,30 +231,34 @@ TEST(ProfilerSession, StreamedLaunchesRoundRobinStreamsAndScaleTimeline) {
     EXPECT_EQ(kernels[i].tag.name, "executor.bin1");
     EXPECT_EQ(kernels[i].tag.bin, 1);
     EXPECT_EQ(kernels[i].tag.stream, static_cast<std::uint32_t>(i % 2));
+    EXPECT_NEAR(kernels[i].end_s - kernels[i].start_s, 2e-6, 1e-15);
     latest = std::max(latest, kernels[i].end_s);
   }
-  // Intervals are scaled so the longest stream lane matches the pooled
-  // (overlapped) modeled time exactly.
-  EXPECT_NEAR(latest, total.time_s, 1e-15);
-  EXPECT_DOUBLE_EQ(session.now_s(), total.time_s);
+  // Intervals are scaled so the timeline ends exactly at the floored
+  // (overlapped) modeled time.
+  EXPECT_NEAR(run.total.time_s, 4e-6, 1e-15);
+  EXPECT_NEAR(latest, run.total.time_s, 1e-15);
+  EXPECT_DOUBLE_EQ(session.now_s(), run.total.time_s);
 }
 
 TEST(ProfilerSession, SerializedStreamsStackEndToEnd) {
   const KernelSimulator sim(unit_device());
-  const std::vector<std::vector<WarpTask>> chunks = {{{1000, 0}}, {{2000, 0}}};
+  std::vector<StreamLaunch> launches(2);
+  launches[0].tasks = {{1000, 0}};
+  launches[1].tasks = {{2000, 0}};
 
   ProfilerSession session;
-  KernelCost total;
+  PipelineRun run;
   {
     const ScopedProfiler scoped(session);
-    total = sim.run_streamed(chunks, 1);
+    run = sim.run_pipeline(launches, 1, 0);
   }
   const auto kernels = session.kernels();
   ASSERT_EQ(kernels.size(), 2u);
   EXPECT_EQ(kernels[0].tag.stream, 0u);
   EXPECT_EQ(kernels[1].tag.stream, 0u);
   EXPECT_DOUBLE_EQ(kernels[1].start_s, kernels[0].end_s);
-  EXPECT_NEAR(kernels[1].end_s, total.time_s, 1e-15);
+  EXPECT_NEAR(kernels[1].end_s, run.total.time_s, 1e-15);
 }
 
 TEST(ProfilerSession, SeedTallyDrivesEagerHitRate) {

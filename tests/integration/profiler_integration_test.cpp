@@ -36,9 +36,6 @@ class ProfiledPipeline : public ::testing::Test {
     const gpusim::ScopedProfiler scoped(*session_);
     const DeviceSet devices = default_devices();
     for (const PreparedPair& pair : *prepared_) {
-      // Both dispatch arms: the legacy per-bin launches and the batched
-      // packed launches must each carry well-formed tags.
-      (void)pair.study->derive(FastzConfig::legacy_dispatch(), devices.ampere);
       (void)pair.study->derive(FastzConfig::full(), devices.ampere);
     }
   }
@@ -60,31 +57,25 @@ TEST_F(ProfiledPipeline, KernelsAreTaggedByPhaseAndBin) {
   const auto kernels = session_->kernels();
   ASSERT_FALSE(kernels.empty());
   bool saw_inspector = false;
-  bool saw_binned_executor = false;
   bool saw_packed_executor = false;
   for (const auto& k : kernels) {
     EXPECT_FALSE(k.tag.name.empty());
     EXPECT_NE(k.tag.phase, "");  // pipeline launches must be labeled
     if (k.tag.phase == "inspector") saw_inspector = true;
     if (k.tag.phase == "executor" && k.tag.bin >= 0) {
-      saw_binned_executor = true;
-      // "executor.bin<K>" (+ ".part<P>" when a bin split over memory budget),
-      // or the trailing linear-space slot "executor.hirschberg".
-      const std::string prefix = k.tag.name.rfind("executor.hirschberg", 0) == 0
-                                     ? std::string("executor.hirschberg")
-                                     : "executor.bin" + std::to_string(k.tag.bin);
-      EXPECT_EQ(k.tag.name.compare(0, prefix.size(), prefix), 0) << k.tag.name;
+      // The only binned executor launch is the trailing linear-space slot
+      // (+ ".part<P>" when the memory budget split it).
+      EXPECT_EQ(k.tag.name.rfind("executor.hirschberg", 0), 0u) << k.tag.name;
     }
     if (k.tag.phase == "executor" && k.tag.bin < 0) {
-      // Batched dispatch packs cross-bin: "executor.batch<J>" (+ ".part<P>"
+      // Dense tasks pack cross-bin: "executor.batch<J>" (+ ".part<P>"
       // when the memory budget split a chunk's pack).
       saw_packed_executor = true;
       EXPECT_EQ(k.tag.name.rfind("executor.batch", 0), 0u) << k.tag.name;
     }
   }
   EXPECT_TRUE(saw_inspector);
-  EXPECT_TRUE(saw_binned_executor);  // legacy arm
-  EXPECT_TRUE(saw_packed_executor);  // batched arm
+  EXPECT_TRUE(saw_packed_executor);
 }
 
 TEST_F(ProfiledPipeline, EagerHitRateMatchesCensus) {

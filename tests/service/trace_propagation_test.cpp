@@ -87,6 +87,9 @@ TEST(TracePropagation, RequestSpansShareOneBatchId) {
   server.resume();
   f1.get();
   f2.get();
+  // The worker records the batch span after fulfilling the futures; join it
+  // so the span is in the snapshot.
+  server.shutdown();
 
   const auto events = telemetry::TraceRecorder::global().snapshot();
   const auto requests = spans_named(events, "service.request");
