@@ -1,11 +1,10 @@
-// Design-choice ablations DESIGN.md calls out: the eager-tile side and the
-// bin-boundary scaling factor.
+// Design-choice ablation DESIGN.md calls out: the eager-tile side.
 //
-// Paper anchors: the 16x16 tile catches >80% of seeds at negligible cost
-// (Section 3.1.2); the four bins use a 4x scaling factor "but one could add
-// bins using a similar 4x scaling factor if needed" (Section 3.3). This
-// bench sweeps each knob with the other at its default and reports modeled
-// Ampere time plus the knob's governing statistic.
+// Paper anchor: the 16x16 tile catches >80% of seeds at negligible cost
+// (Section 3.1.2). This bench sweeps the tile side and reports modeled
+// Ampere time plus the eager/executor split it governs. The Section 3.3 bin
+// edges are fixed (kBinEdges): derive() packs every bin into the same
+// launches, so they move no modeled time (EXPERIMENTS.md).
 #include <iostream>
 
 #include "report/experiment.hpp"
@@ -15,7 +14,7 @@
 using namespace fastz;
 
 int main(int argc, char** argv) {
-  CliParser cli("Tuning sweeps: eager tile size, bin scaling.");
+  CliParser cli("Tuning sweep: eager tile size.");
   add_harness_flags(cli);
   cli.add_flag("pair", "benchmark pair label", "C1_1,1");
   if (!cli.parse(argc, argv)) return 0;
@@ -29,54 +28,21 @@ int main(int argc, char** argv) {
   const double t_seq = modeled_sequential_s(study);
 
   std::cout << "=== Eager tile size (paper: 16) ===\n";
-  {
-    TextTable t({"Tile", "Eager seeds", "Executor tasks", "Ampere time (ms)",
-                 "Speedup"});
-    for (std::uint32_t tile : {4u, 8u, 16u, 32u, 64u}) {
-      FastzConfig config = FastzConfig::full();
-      config.eager_tile = tile;
-      const FastzRun run = study.derive(config, device);
-      t.add_row({TextTable::num(std::uint64_t{tile}), TextTable::num(run.eager_handled),
-                 TextTable::num(run.executor_tasks),
-                 TextTable::num(run.modeled.total_s() * 1e3, 3),
-                 TextTable::num(t_seq / run.modeled.total_s(), 1) + "x"});
-    }
-    t.render(std::cout);
-    std::cout << "Reading: beyond ~16 the extra tile state buys few seeds — "
-                 "the alignment-length distribution is already eager-saturated "
-                 "(and a larger tile would no longer fit shared memory per "
-                 "warp).\n\n";
+  TextTable t({"Tile", "Eager seeds", "Executor tasks", "Ampere time (ms)",
+               "Speedup"});
+  for (std::uint32_t tile : {4u, 8u, 16u, 32u, 64u}) {
+    FastzConfig config = FastzConfig::full();
+    config.eager_tile = tile;
+    const FastzRun run = study.derive(config, device);
+    t.add_row({TextTable::num(std::uint64_t{tile}), TextTable::num(run.eager_handled),
+               TextTable::num(run.executor_tasks),
+               TextTable::num(run.modeled.total_s() * 1e3, 3),
+               TextTable::num(t_seq / run.modeled.total_s(), 1) + "x"});
   }
-
-  std::cout << "=== Bin-boundary scaling (paper: 512 x 4^k) ===\n";
-  {
-    TextTable t({"Edges", "Bin counts (1/2/3/4+ovf)", "Ampere time (ms)", "Speedup"});
-    struct EdgeSet {
-      const char* name;
-      std::array<std::uint32_t, 4> edges;
-    };
-    for (const EdgeSet& e : std::initializer_list<EdgeSet>{
-             {"256 x2 (256,512,1024,2048)", {256, 512, 1024, 2048}},
-             {"512 x2 (512,1024,2048,4096)", {512, 1024, 2048, 4096}},
-             {"512 x4 (paper)", {512, 2048, 8192, 32768}},
-             {"512 x8 (512,4096,32768,262144)", {512, 4096, 32768, 262144}},
-         }) {
-      FastzConfig config = FastzConfig::full();
-      config.bin_edges = e.edges;
-      const FastzRun run = study.derive(config, device);
-      t.add_row({e.name,
-                 TextTable::num(run.census.bins[0]) + "/" +
-                     TextTable::num(run.census.bins[1]) + "/" +
-                     TextTable::num(run.census.bins[2]) + "/" +
-                     TextTable::num(run.census.bins[3] + run.census.overflow),
-                 TextTable::num(run.modeled.total_s() * 1e3, 3),
-                 TextTable::num(t_seq / run.modeled.total_s(), 1) + "x"});
-    }
-    t.render(std::cout);
-    std::cout << "Reading: the edges move only the census columns. The "
-                 "dispatcher packs every bin into the same launches, so the "
-                 "modeled time does not change with the edges; too-narrow top "
-                 "bins overflow.\n";
-  }
+  t.render(std::cout);
+  std::cout << "Reading: beyond ~16 the extra tile state buys few seeds — "
+               "the alignment-length distribution is already eager-saturated "
+               "(and a larger tile would no longer fit shared memory per "
+               "warp).\n";
   return 0;
 }

@@ -10,7 +10,6 @@
 // schedules them with KernelSimulator::run_pipeline (see derive()).
 #pragma once
 
-#include <array>
 #include <cstdint>
 
 namespace fastz {
@@ -40,9 +39,6 @@ struct FastzConfig {
 
   // Eager tile side (base pairs). 16 in the paper.
   std::uint32_t eager_tile = 16;
-
-  // Section 3.3: executor bin upper bounds (square side, base pairs).
-  std::array<std::uint32_t, 4> bin_edges = {512, 2048, 8192, 32768};
 
   // The paper's main configuration / ablation points.
   static FastzConfig full() { return FastzConfig{}; }

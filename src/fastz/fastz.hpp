@@ -18,7 +18,6 @@
 #pragma once
 
 #include "align/alignment.hpp"
-#include "align/banded_align.hpp"
 #include "align/extension.hpp"
 #include "align/gotoh_reference.hpp"
 #include "align/lastz_pipeline.hpp"
@@ -30,7 +29,6 @@
 #include "fastz/executor.hpp"
 #include "fastz/fastz_pipeline.hpp"
 #include "fastz/inspector.hpp"
-#include "fastz/multi_gpu.hpp"
 #include "fastz/strip_kernel.hpp"
 #include "gpusim/device_spec.hpp"
 #include "gpusim/kernel_sim.hpp"

@@ -390,16 +390,14 @@ std::vector<FastzStudy> run_functional_batch(const std::vector<FunctionalBatchIt
 }
 
 BinCensus FastzStudy::census() const {
-  const FastzConfig defaults;
+  constexpr std::uint32_t tile = FastzConfig{}.eager_tile;
   BinCensus census;
-  for (const SeedWork& work : seed_work_) {
-    census.add(work.inspection, defaults.eager_tile, defaults.bin_edges);
-  }
+  for (const SeedWork& work : seed_work_) census.add(work.inspection, tile);
   return census;
 }
 
-FastzRun FastzStudy::derive(const FastzConfig& config, const gpusim::DeviceSpec& device,
-                            std::uint32_t shard_count, std::uint32_t shard_index) const {
+FastzRun FastzStudy::derive(const FastzConfig& config,
+                            const gpusim::DeviceSpec& device) const {
   // Launch structure (Section 3.4 streams, SaLoBa-style packing): the seeds
   // split over two inspector launches, so chunk k's executors overlap
   // inspector chunk k+1, and every launch's sequence staging is
@@ -408,7 +406,6 @@ FastzRun FastzStudy::derive(const FastzConfig& config, const gpusim::DeviceSpec&
   constexpr std::size_t kInspectorLaunches = 2;
   constexpr std::uint64_t kStagingBuffers = 2;
 
-  if (shard_count == 0) shard_count = 1;
   telemetry::TraceSpan derive_span("fastz.derive");
   FastzRun run;
   run.config = config;
@@ -420,9 +417,9 @@ FastzRun FastzStudy::derive(const FastzConfig& config, const gpusim::DeviceSpec&
   const std::uint64_t memory_budget = std::max<std::uint64_t>(
       1, static_cast<std::uint64_t>(static_cast<double>(device.memory_bytes) * 0.6));
 
-  // ---- Inspector tasks: every seed of this shard, in seed-index order. ----
+  // ---- Inspector tasks: every seed, in seed-index order. ----------------
   TaskAccumulator insp;
-  insp.tasks.reserve(seed_work_.size() / shard_count + 1);
+  insp.tasks.reserve(seed_work_.size());
   // Parallel per-task ledgers, filled only when profiling: they roll up into
   // per-launch KernelTag::traffic after the launch boundaries are known.
   std::vector<gpusim::MemoryLedger> insp_task_traffic;
@@ -430,8 +427,7 @@ FastzRun FastzStudy::derive(const FastzConfig& config, const gpusim::DeviceSpec&
   // Per-task staged sequence bytes, which size each launch's staging.
   std::vector<std::uint64_t> insp_seq;
   insp_seq.reserve(insp.tasks.capacity());
-  for (std::size_t idx = shard_index; idx < seed_work_.size(); idx += shard_count) {
-    const SeedWork& work = seed_work_[idx];
+  for (const SeedWork& work : seed_work_) {
     const SeedInspection& ins = work.inspection;
     ++run.seeds;
     const std::uint64_t steps = ins.warp_steps();
@@ -463,28 +459,26 @@ FastzRun FastzStudy::derive(const FastzConfig& config, const gpusim::DeviceSpec&
   // for Hirschberg tasks: their warp work includes checkpoint replay and
   // their footprint is O(n+m), so lumping them into bin 3 would hide exactly
   // the behavior the linear path changes.
-  const std::size_t hb_slot = config.bin_edges.size() + 1;
-  std::vector<SlotSums> slots(config.bin_edges.size() + 2);
+  const std::size_t hb_slot = kBinEdges.size() + 1;
+  std::vector<SlotSums> slots(kBinEdges.size() + 2);
   // Flat, seed-ordered executor records: the task, its resident allocation,
-  // its staged sequence bytes, and the shard ordinal of its seed (which
-  // inspector chunk feeds it).
+  // its staged sequence bytes, and its seed's index (which inspector chunk
+  // feeds it).
   struct ExecRec {
     gpusim::WarpTask task;
     std::uint64_t alloc = 0;
     std::uint64_t seq = 0;
-    std::uint32_t ordinal = 0;
+    std::uint32_t seed = 0;
     bool hb = false;
   };
   std::vector<ExecRec> recs;
   std::vector<gpusim::MemoryLedger> exec_task_traffic;  // parallel to recs
   gpusim::MemoryLedger exec_ledger;
-  std::uint32_t seed_ordinal = 0;
-  for (std::size_t idx = shard_index; idx < seed_work_.size();
-       idx += shard_count, ++seed_ordinal) {
+  for (std::size_t idx = 0; idx < seed_work_.size(); ++idx) {
     const SeedWork& work = seed_work_[idx];
     const SeedInspection& ins = work.inspection;
     const bool eligible = eager_eligible(ins, config.eager_tile);
-    run.census.add(ins, config.eager_tile, config.bin_edges);
+    run.census.add(ins, config.eager_tile);
     if (config.eager_traceback && eligible) {
       ++run.eager_handled;
       continue;  // finished inside the inspector; no executor task
@@ -550,15 +544,12 @@ FastzRun FastzStudy::derive(const FastzConfig& config, const gpusim::DeviceSpec&
     exec_ledger.traceback_resident_bytes += alloc;
 
     task.mem_bytes = score.traffic + tb_wire + seq_bytes;
-    SlotSums& slot = slots[hb ? hb_slot
-                              : (eligible ? 0
-                                          : std::min(bin_index(ins.box(), config.bin_edges),
-                                                     config.bin_edges.size()))];
+    SlotSums& slot = slots[hb ? hb_slot : (eligible ? 0 : bin_index(ins.box()))];
     ++slot.tasks;
     slot.cells += alloc;
     slot.warp_instructions += task.warp_instructions;
     slot.mem_bytes += task.mem_bytes;
-    recs.push_back({task, alloc, seq_bytes, seed_ordinal, hb});
+    recs.push_back({task, alloc, seq_bytes, static_cast<std::uint32_t>(idx), hb});
     if (prof != nullptr) {
       gpusim::MemoryLedger task_led = task_traffic_ledger(seq_bytes, score);
       if (config.staged_traceback_writes) task_led.shared_staged_bytes = tb_bytes;
@@ -582,7 +573,7 @@ FastzRun FastzStudy::derive(const FastzConfig& config, const gpusim::DeviceSpec&
   std::vector<gpusim::KernelTag> tags;
   std::uint64_t staging_high_water = 0;
 
-  // Inspector launches: contiguous shard-ordinal ranges, LPT-balanced
+  // Inspector launches: contiguous seed-index ranges, LPT-balanced
   // inside each launch, sequences staged (double-buffered) for the span
   // of the launch.
   std::vector<std::size_t> chunk_begin(chunk_count + 1, 0);
@@ -605,7 +596,6 @@ FastzRun FastzStudy::derive(const FastzConfig& config, const gpusim::DeviceSpec&
     gpusim::KernelTag tag;
     tag.name = "inspector";
     tag.phase = "inspector";
-    tag.shard = shard_index;
     if (prof != nullptr) {
       for (std::size_t k = begin; k < end; ++k) tag.traffic.merge(insp_task_traffic[k]);
       tag.traffic.staging_buffer_bytes = packed.resident_bytes;
@@ -620,11 +610,11 @@ FastzRun FastzStudy::derive(const FastzConfig& config, const gpusim::DeviceSpec&
   // separately (their replay work and O(n+m) footprint would hide inside
   // a dense launch). Each launch depends only on its own chunk's
   // inspector launch, so chunk k's executors overlap inspector chunk k+1.
-  std::size_t rec_pos = 0;  // recs are in shard-ordinal order
+  std::size_t rec_pos = 0;  // recs are in seed-index order
   for (std::size_t j = 0; j < chunk_count; ++j) {
     std::vector<gpusim::BatchTask> dense, hirsch;
     std::vector<std::uint32_t> dense_idx, hirsch_idx;  // indices into recs
-    while (rec_pos < recs.size() && recs[rec_pos].ordinal < chunk_begin[j + 1]) {
+    while (rec_pos < recs.size() && recs[rec_pos].seed < chunk_begin[j + 1]) {
       const ExecRec& rec = recs[rec_pos];
       (rec.hb ? hirsch : dense)
           .push_back({rec.task, rec.alloc + rec.seq * kStagingBuffers});
@@ -643,8 +633,6 @@ FastzRun FastzStudy::derive(const FastzConfig& config, const gpusim::DeviceSpec&
                              : std::string("executor.hirschberg");
         if (plan.launches.size() > 1) tag.name += ".part" + std::to_string(p);
         tag.phase = "executor";
-        tag.bin = kind == 0 ? -1 : static_cast<std::int32_t>(hb_slot);
-        tag.shard = shard_index;
         std::uint64_t launch_staging = 0;
         for (const std::uint32_t q : packed.order) {
           const ExecRec& rec = recs[idxs[q]];

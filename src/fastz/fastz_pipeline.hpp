@@ -125,18 +125,13 @@ class FastzStudy {
 
   // Derives the modeled cost of `config` on `device` from the stored
   // metrics. Functionally the alignments are those of the full pipeline.
-  //
-  // `shard_count`/`shard_index` model the multi-GPU extension the paper's
-  // Discussion sketches ("the seeds can be partitioned easily"): only seeds
-  // with index % shard_count == shard_index are charged to this device.
-  FastzRun derive(const FastzConfig& config, const gpusim::DeviceSpec& device,
-                  std::uint32_t shard_count = 1, std::uint32_t shard_index = 0) const;
+  FastzRun derive(const FastzConfig& config, const gpusim::DeviceSpec& device) const;
 
   const std::vector<Alignment>& alignments() const noexcept { return alignments_; }
   const std::vector<SeedWork>& seed_work() const noexcept { return seed_work_; }
   std::uint64_t seeds() const noexcept { return seed_work_.size(); }
   std::uint64_t inspector_cells() const noexcept { return inspector_cells_; }
-  // Census with the paper's default tile/bin boundaries.
+  // Census with the paper's default eager tile and kBinEdges.
   BinCensus census() const;
   double functional_wallclock_s() const noexcept { return functional_wallclock_s_; }
   // Worker threads the functional pass actually ran with (after resolving

@@ -13,8 +13,8 @@
 //     the classic makespan-minimizing list order for greedy list
 //     scheduling — SaLoBa-style intra-launch balance. The permutation is
 //     retained (`PackedLaunch::order`) so every per-task quantity can be
-//     restored to seed-index order and results stay bit-identical; the
-//     reorder only changes the modeled schedule.
+//     mapped back to its seed and results stay bit-identical; the reorder
+//     only changes the modeled schedule.
 //
 // Consumer: FastzStudy::derive() builds its inspector and executor
 // launches here, then feeds them to KernelSimulator::run_pipeline() with
@@ -38,8 +38,8 @@ struct BatchTask {
 };
 
 // One packed launch. `order[p]` is the index into the input span of the
-// task at launch position `p` — the permutation LPT applied, kept so it can
-// be undone.
+// task at launch position `p` — the permutation LPT applied, kept so
+// callers can map launch positions back to their seeds.
 struct PackedLaunch {
   std::vector<WarpTask> tasks;
   std::vector<std::uint32_t> order;
@@ -62,22 +62,6 @@ struct LaunchPlan {
     std::uint64_t n = 0;
     for (const PackedLaunch& l : launches) n += l.tasks.size();
     return n;
-  }
-
-  // Undoes the packing permutation: scatters per-position values (outer
-  // index = launch, inner = launch position) back to input order. The
-  // round-trip `restore(values laid out by the plan) == input values` is
-  // what keeps batched results seed-index-ordered and bit-identical.
-  template <typename T>
-  std::vector<T> restore(const std::vector<std::vector<T>>& per_launch) const {
-    std::vector<T> out(total_tasks());
-    for (std::size_t l = 0; l < launches.size(); ++l) {
-      const PackedLaunch& launch = launches[l];
-      for (std::size_t p = 0; p < launch.order.size(); ++p) {
-        out[launch.order[p]] = per_launch[l][p];
-      }
-    }
-    return out;
   }
 };
 

@@ -7,7 +7,7 @@
 // aggregate KernelCost cannot show any of them per kernel or per SM; a
 // ProfilerSession can. While one is installed, every KernelSimulator launch
 // records a KernelProfile: the launch tag (kernel name, pipeline phase,
-// stream id, length-bin id, multi-GPU shard), the modeled cost, hardware
+// stream id), the modeled cost, hardware
 // counters (issued vs stalled warp-cycles, achieved occupancy, divergence
 // derating, per-SM busy time and the bulk-synchronous tail), the per-level
 // memory traffic the kernel moved, and the kernel's interval on the
@@ -34,17 +34,13 @@
 
 namespace fastz::gpusim {
 
-// Identity of one kernel launch. The pipeline labels its launches
-// ("inspector", "executor.bin2", ...); `stream` is assigned by the
-// simulator's stream scheduler, `bin` is the executor length-bin id
-// (0..4 for the 512/2048/8192/32768 edges + overflow; -1 when the kernel
-// is not length-binned), `shard` the multi-GPU device index.
+// Identity of one kernel launch. derive() labels its launches
+// ("inspector", "executor.batch0", "executor.hirschberg", ...); `stream` is
+// assigned by the simulator's stream scheduler.
 struct KernelTag {
   std::string name = "kernel";
   std::string phase;          // "inspector" | "executor" | ""
   std::uint32_t stream = 0;
-  std::int32_t bin = -1;
-  std::uint32_t shard = 0;
   // Per-level traffic attribution of this launch, filled by the caller only
   // while a ProfilerSession is installed (WarpTask stays two words so the
   // unprofiled scheduling path keeps its footprint — see kernel_sim.hpp).

@@ -9,7 +9,6 @@
 // trajectories, and optionally a Chrome trace merging the host spans with
 // the modeled kernel timeline (virtual-GPU process lane). See
 // docs/PROFILING.md.
-#include <algorithm>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -63,7 +62,6 @@ int main(int argc, char** argv) {
                "eager_traceback | single_stream",
                "full");
   cli.add_flag("pairs", "profile only the first N benchmark pairs (0 = all)", "0");
-  cli.add_flag("shards", "model this many GPUs (multi-GPU seed sharding)", "1");
   cli.add_flag("csv", "emit the kernel table as CSV", "0");
   cli.add_flag("json", "write fastz.profile/v1 JSON to this path (empty: skip)",
                "fastz_profile.json");
@@ -92,8 +90,6 @@ int main(int argc, char** argv) {
     std::cerr << "unknown --config '" << cli.get("config") << "'\n";
     return 2;
   }
-  const std::uint32_t shards =
-      static_cast<std::uint32_t>(std::max<std::int64_t>(1, cli.get_int("shards")));
 
   std::vector<BenchmarkPair> pairs = same_genus_pairs(options.scale);
   const std::int64_t limit = cli.get_int("pairs");
@@ -105,17 +101,11 @@ int main(int argc, char** argv) {
   gpusim::ProfilerSession session;
   {
     gpusim::ScopedProfiler scoped(session);
-    for (const PreparedPair& pair : prepared) {
-      for (std::uint32_t shard = 0; shard < shards; ++shard) {
-        (void)pair.study->derive(config, *device, shards, shard);
-      }
-    }
+    for (const PreparedPair& pair : prepared) (void)pair.study->derive(config, *device);
   }
 
   std::cout << "=== fastz_prof: " << cli.get("config") << " on " << cli.get("device")
-            << ", " << prepared.size() << " pair(s)"
-            << (shards > 1 ? ", " + std::to_string(shards) + " shards" : "")
-            << " ===\n";
+            << ", " << prepared.size() << " pair(s) ===\n";
   print_profile(std::cout, session, csv);
 
   int rc = 0;

@@ -13,15 +13,6 @@ namespace {
 
 using gpusim::KernelProfile;
 
-std::string tag_label(const gpusim::KernelTag& tag) {
-  std::string label = tag.name;
-  if (tag.shard != 0) {
-    label += '@';
-    label += std::to_string(tag.shard);
-  }
-  return label;
-}
-
 void write_ledger(telemetry::JsonWriter& w, const gpusim::MemoryLedger& t) {
   w.begin_object();
   w.field("score_read_bytes", t.score_read_bytes);
@@ -79,7 +70,7 @@ void print_profile(std::ostream& out, const gpusim::ProfilerSession& session,
   const std::vector<KernelProfile> kernels = session.kernels();
   const ProfileSummary s = summarize_profile(session);
 
-  TextTable table({"kernel", "stream", "bin", "tasks", "time_ms", "occupancy",
+  TextTable table({"kernel", "stream", "tasks", "time_ms", "occupancy",
                    "imbalance", "tail_ms", "stall%", "elision"});
   for (const KernelProfile& k : kernels) {
     const std::uint64_t cycles =
@@ -88,8 +79,7 @@ void print_profile(std::ostream& out, const gpusim::ProfilerSession& session,
         cycles == 0 ? 0.0
                     : 100.0 * static_cast<double>(k.counters.stalled_warp_cycles) /
                           static_cast<double>(cycles);
-    table.add_row({tag_label(k.tag), TextTable::num(std::uint64_t{k.tag.stream}),
-                   k.tag.bin < 0 ? "-" : TextTable::num(std::int64_t{k.tag.bin}),
+    table.add_row({k.tag.name, TextTable::num(std::uint64_t{k.tag.stream}),
                    TextTable::num(k.counters.tasks),
                    TextTable::num(k.cost.time_s * 1e3, 3),
                    TextTable::num(k.counters.achieved_occupancy, 3),
@@ -149,8 +139,6 @@ void write_profile_json(std::ostream& out, const gpusim::ProfilerSession& sessio
     w.field("name", k.tag.name);
     w.field("phase", k.tag.phase);
     w.field("stream", std::uint64_t{k.tag.stream});
-    w.field("bin", std::int64_t{k.tag.bin});
-    w.field("shard", std::uint64_t{k.tag.shard});
     if (k.tag.batch != Digest128{}) {
       w.field("batch", telemetry::trace_id_hex(k.tag.batch));
     }
@@ -201,7 +189,7 @@ std::vector<telemetry::TraceEvent> profile_trace_events(
   events.reserve(kernels.size() * 2);
   for (const KernelProfile& k : kernels) {
     telemetry::TraceEvent e;
-    e.name = tag_label(k.tag);
+    e.name = k.tag.name;
     e.category = k.tag.phase.empty() ? "gpusim" : k.tag.phase;
     e.ts_us = timeline_offset_us + k.start_s * time_scale;
     e.dur_us = (k.end_s - k.start_s) * time_scale;

@@ -21,7 +21,7 @@
 // - Caching: answers repeat keys (request_key) from the ResultCache
 //   without touching the pipeline; per-batch duplicates run once.
 // - Sharding: shards worker threads each own one virtual GPU; batches go
-//   to the least-modeled-busy shard (gpusim::ShardSet), which is charged
+//   to the least-modeled-busy shard (service::ShardSet), which is charged
 //   the derived device seconds of the work it serves.
 //
 // Thread-safety: every public method may be called from any thread. The
@@ -46,10 +46,10 @@
 
 #include "align/lastz_pipeline.hpp"
 #include "fastz/config.hpp"
-#include "fastz/multi_gpu.hpp"
 #include "gpusim/device_spec.hpp"
 #include "service/result_cache.hpp"
 #include "service/service.hpp"
+#include "service/shard_set.hpp"
 #include "telemetry/trace_context.hpp"
 
 namespace fastz::service {
@@ -118,7 +118,7 @@ class AlignmentServer {
   std::size_t queue_depth() const;
   ServerStats stats() const;
   CacheStats cache_stats() const { return cache_.stats(); }
-  const gpusim::ShardSet& shard_set() const { return shards_; }
+  const ShardSet& shard_set() const { return shards_; }
   const ServerConfig& config() const noexcept { return config_; }
 
  private:
@@ -142,7 +142,7 @@ class AlignmentServer {
 
   ServerConfig config_;
   ResultCache cache_;
-  gpusim::ShardSet shards_;
+  ShardSet shards_;
 
   mutable std::mutex mutex_;               // pending queue + batcher state
   std::condition_variable cv_batcher_;

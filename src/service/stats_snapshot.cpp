@@ -28,7 +28,7 @@ void write_stats_snapshot(std::ostream& out, const AlignmentServer& server,
                           const gpusim::ProfilerSession* profiler) {
   const ServerStats stats = server.stats();
   const CacheStats cache = server.cache_stats();
-  const gpusim::ShardSet& shards = server.shard_set();
+  const ShardSet& shards = server.shard_set();
   const ServerConfig& config = server.config();
 
   telemetry::JsonWriter w(out);

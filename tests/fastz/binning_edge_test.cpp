@@ -25,28 +25,27 @@ SeedInspection inspection_with_box(std::uint32_t left_i, std::uint32_t right_i) 
 }
 
 TEST(BinningEdges, ExactEdgeLandsInItsBin) {
-  const std::array<std::uint32_t, 4> edges = {512, 2048, 8192, 32768};
   // "<= edge" is the bin rule: the edge itself belongs to the bin, edge+1
   // overflows into the next.
-  for (std::size_t k = 0; k < edges.size(); ++k) {
-    EXPECT_EQ(bin_index(edges[k], edges), k) << "edge " << edges[k];
-    EXPECT_EQ(bin_index(edges[k] - 1, edges), k);
-    EXPECT_EQ(bin_index(edges[k] + 1, edges), k + 1);
+  for (std::size_t k = 0; k < kBinEdges.size(); ++k) {
+    EXPECT_EQ(bin_index(kBinEdges[k]), k) << "edge " << kBinEdges[k];
+    EXPECT_EQ(bin_index(kBinEdges[k] - 1), k);
+    EXPECT_EQ(bin_index(kBinEdges[k] + 1), k + 1);
   }
-  EXPECT_EQ(bin_index(0, edges), 0u);
-  EXPECT_EQ(bin_index(~0ull, edges), edges.size());  // overflow bin
+  EXPECT_EQ(bin_index(0), 0u);
+  EXPECT_EQ(bin_index(~0ull), kBinEdges.size());  // overflow bin
 }
 
 TEST(BinningEdges, CensusClassifiesBoundaryBoxes) {
   const FastzConfig config;
   BinCensus census;
   // Boxes split across left/right extents: 512 = 256 + 256 etc.
-  census.add(inspection_with_box(256, 256), config.eager_tile, config.bin_edges);   // 512
-  census.add(inspection_with_box(256, 257), config.eager_tile, config.bin_edges);   // 513
-  census.add(inspection_with_box(1024, 1024), config.eager_tile, config.bin_edges); // 2048
-  census.add(inspection_with_box(4096, 4096), config.eager_tile, config.bin_edges); // 8192
-  census.add(inspection_with_box(16384, 16384), config.eager_tile, config.bin_edges); // 32768
-  census.add(inspection_with_box(16384, 16385), config.eager_tile, config.bin_edges); // 32769
+  census.add(inspection_with_box(256, 256), config.eager_tile);   // 512
+  census.add(inspection_with_box(256, 257), config.eager_tile);   // 513
+  census.add(inspection_with_box(1024, 1024), config.eager_tile); // 2048
+  census.add(inspection_with_box(4096, 4096), config.eager_tile); // 8192
+  census.add(inspection_with_box(16384, 16384), config.eager_tile); // 32768
+  census.add(inspection_with_box(16384, 16385), config.eager_tile); // 32769
   EXPECT_EQ(census.total, 6u);
   EXPECT_EQ(census.bins[0], 1u);
   EXPECT_EQ(census.bins[1], 2u);  // 513 and 2048

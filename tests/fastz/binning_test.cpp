@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "fastz/config.hpp"
+
 namespace fastz {
 namespace {
 
@@ -14,16 +16,26 @@ SeedInspection make_inspection(std::uint32_t li, std::uint32_t lj, std::uint32_t
 }
 
 TEST(Binning, BinIndexBoundaries) {
-  const std::array<std::uint32_t, 4> edges = {512, 2048, 8192, 32768};
-  EXPECT_EQ(bin_index(0, edges), 0u);
-  EXPECT_EQ(bin_index(512, edges), 0u);
-  EXPECT_EQ(bin_index(513, edges), 1u);
-  EXPECT_EQ(bin_index(2048, edges), 1u);
-  EXPECT_EQ(bin_index(2049, edges), 2u);
-  EXPECT_EQ(bin_index(8192, edges), 2u);
-  EXPECT_EQ(bin_index(8193, edges), 3u);
-  EXPECT_EQ(bin_index(32768, edges), 3u);
-  EXPECT_EQ(bin_index(32769, edges), 4u);  // overflow
+  EXPECT_EQ(bin_index(0), 0u);
+  EXPECT_EQ(bin_index(512), 0u);
+  EXPECT_EQ(bin_index(513), 1u);
+  EXPECT_EQ(bin_index(2048), 1u);
+  EXPECT_EQ(bin_index(2049), 2u);
+  EXPECT_EQ(bin_index(8192), 2u);
+  EXPECT_EQ(bin_index(8193), 3u);
+  EXPECT_EQ(bin_index(32768), 3u);
+  EXPECT_EQ(bin_index(32769), 4u);  // overflow
+}
+
+TEST(Binning, PaperBinBoundaries) {
+  // Section 3.3: bins at 512, 2048, 8192, 32768 (4x scaling).
+  EXPECT_EQ(kBinEdges[0], 512u);
+  EXPECT_EQ(kBinEdges[1], 2048u);
+  EXPECT_EQ(kBinEdges[2], 8192u);
+  EXPECT_EQ(kBinEdges[3], 32768u);
+  for (std::size_t k = 1; k < kBinEdges.size(); ++k) {
+    EXPECT_EQ(kBinEdges[k], kBinEdges[k - 1] * 4);
+  }
 }
 
 TEST(Binning, EagerEligibilityRequiresBothSidesInTile) {
@@ -45,12 +57,12 @@ TEST(Binning, BoxCombinesBothSides) {
 TEST(Binning, CensusClassifies) {
   const FastzConfig config;
   BinCensus census;
-  census.add(make_inspection(2, 2, 3, 3), config.eager_tile, config.bin_edges);     // eager
-  census.add(make_inspection(100, 100, 100, 100), config.eager_tile, config.bin_edges);  // bin1
-  census.add(make_inspection(600, 600, 600, 600), config.eager_tile, config.bin_edges);  // bin2
-  census.add(make_inspection(3000, 3000, 3000, 3000), config.eager_tile, config.bin_edges);  // bin3
-  census.add(make_inspection(9000, 9000, 9000, 9000), config.eager_tile, config.bin_edges);  // bin4
-  census.add(make_inspection(40000, 1, 1, 1), config.eager_tile, config.bin_edges);  // overflow
+  census.add(make_inspection(2, 2, 3, 3), config.eager_tile);     // eager
+  census.add(make_inspection(100, 100, 100, 100), config.eager_tile);  // bin1
+  census.add(make_inspection(600, 600, 600, 600), config.eager_tile);  // bin2
+  census.add(make_inspection(3000, 3000, 3000, 3000), config.eager_tile);  // bin3
+  census.add(make_inspection(9000, 9000, 9000, 9000), config.eager_tile);  // bin4
+  census.add(make_inspection(40000, 1, 1, 1), config.eager_tile);  // overflow
 
   EXPECT_EQ(census.total, 6u);
   EXPECT_EQ(census.eager, 1u);
@@ -67,7 +79,7 @@ TEST(Binning, SeventeenBasePairAlignmentLandsInBin1) {
   // bin1". A 17-bp alignment is the smallest non-eager one.
   const FastzConfig config;
   BinCensus census;
-  census.add(make_inspection(17, 17, 0, 0), config.eager_tile, config.bin_edges);
+  census.add(make_inspection(17, 17, 0, 0), config.eager_tile);
   EXPECT_EQ(census.eager, 0u);
   EXPECT_EQ(census.bins[0], 1u);
 }

@@ -15,18 +15,6 @@ TEST(FastzConfig, FullEnablesEverything) {
   EXPECT_EQ(c.eager_tile, 16u);
 }
 
-TEST(FastzConfig, PaperBinBoundaries) {
-  // Section 3.3: bins at 512, 2048, 8192, 32768 (4x scaling).
-  const FastzConfig c;
-  EXPECT_EQ(c.bin_edges[0], 512u);
-  EXPECT_EQ(c.bin_edges[1], 2048u);
-  EXPECT_EQ(c.bin_edges[2], 8192u);
-  EXPECT_EQ(c.bin_edges[3], 32768u);
-  for (std::size_t k = 1; k < c.bin_edges.size(); ++k) {
-    EXPECT_EQ(c.bin_edges[k], c.bin_edges[k - 1] * 4);
-  }
-}
-
 TEST(FastzConfig, LoadBalanceOnlyDisablesOptimizations) {
   const FastzConfig c = FastzConfig::load_balance_only();
   EXPECT_FALSE(c.cyclic_buffers);

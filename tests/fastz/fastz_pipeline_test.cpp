@@ -69,6 +69,22 @@ TEST(FastzPipeline, CensusHasEagerMajority) {
   EXPECT_EQ(sum, census.total);
 }
 
+TEST(FastzPipeline, StudyCensusMatchesDerivedCensus) {
+  // study.census() (Table 2) and derive()'s run.census classify through one
+  // definition: the same tile and kBinEdges on every device.
+  const BinCensus study = shared().study.census();
+  for (const gpusim::DeviceSpec& device :
+       {gpusim::titan_x_pascal(), gpusim::v100_volta(), gpusim::rtx3080_ampere()}) {
+    const BinCensus derived = shared().study.derive(FastzConfig::full(), device).census;
+    EXPECT_EQ(derived.total, study.total) << device.name;
+    EXPECT_EQ(derived.eager, study.eager) << device.name;
+    for (std::size_t k = 0; k < study.bins.size(); ++k) {
+      EXPECT_EQ(derived.bins[k], study.bins[k]) << device.name << " bin " << k;
+    }
+    EXPECT_EQ(derived.overflow, study.overflow) << device.name;
+  }
+}
+
 TEST(FastzPipeline, EagerEliminatesExecutorTasks) {
   const FastzStudy& study = shared().study;
 
@@ -331,9 +347,7 @@ TEST(FastzPipeline, DeriveTelemetryPinsPerSlotExecutorCounters) {
   for (const SeedWork& work : study.seed_work()) {
     if (eager_eligible(work.inspection, config.eager_tile)) continue;
     const std::size_t slot =
-        work.hirschberg ? kSlots - 1
-                        : std::min(bin_index(work.inspection.box(), config.bin_edges),
-                                   config.bin_edges.size());
+        work.hirschberg ? kSlots - 1 : bin_index(work.inspection.box());
     ++tasks[slot];
     cells[slot] += work.hirschberg
                        ? work.trimmed_tb_peak_bytes + work.trimmed_checkpoint_bytes

@@ -147,21 +147,14 @@ TEST(ProfilerSession, TagsAndTimelineAreRecorded) {
 
   ProfilerSession session;
   const ScopedProfiler scoped(session);
-  KernelTag tag;
-  tag.name = "executor.bin2";
-  tag.phase = "executor";
-  tag.bin = 2;
-  tag.shard = 1;
-  sim.run_kernel(tasks, tag);
+  sim.run_kernel(tasks, named_tag("executor.batch0", "executor"));
   sim.run_kernel(tasks, named_tag("inspector", "inspector"));
 
   const auto kernels = session.kernels();
   ASSERT_EQ(kernels.size(), 2u);
-  EXPECT_EQ(kernels[0].tag.name, "executor.bin2");
+  EXPECT_EQ(kernels[0].tag.name, "executor.batch0");
   EXPECT_EQ(kernels[0].tag.phase, "executor");
-  EXPECT_EQ(kernels[0].tag.bin, 2);
-  EXPECT_EQ(kernels[0].tag.shard, 1u);
-  EXPECT_EQ(kernels[1].tag.bin, -1);
+  EXPECT_EQ(kernels[1].tag.name, "inspector");
   // Kernels are placed end-to-end on the session timeline.
   EXPECT_DOUBLE_EQ(kernels[0].start_s, 0.0);
   EXPECT_DOUBLE_EQ(kernels[0].end_s, kernels[0].cost.time_s);
@@ -214,8 +207,7 @@ TEST(ProfilerSession, StreamedLaunchesRoundRobinStreamsAndScaleTimeline) {
   const KernelSimulator sim(unit_device());
   std::vector<StreamLaunch> launches(4);
   for (StreamLaunch& launch : launches) launch.tasks = {{1000, 0}, {1000, 0}};
-  KernelTag base = named_tag("executor.bin1", "executor");
-  base.bin = 1;
+  const KernelTag base = named_tag("executor.batch0", "executor");
 
   ProfilerSession session;
   PipelineRun run;
@@ -228,8 +220,7 @@ TEST(ProfilerSession, StreamedLaunchesRoundRobinStreamsAndScaleTimeline) {
   ASSERT_EQ(kernels.size(), 4u);
   double latest = 0.0;
   for (std::size_t i = 0; i < kernels.size(); ++i) {
-    EXPECT_EQ(kernels[i].tag.name, "executor.bin1");
-    EXPECT_EQ(kernels[i].tag.bin, 1);
+    EXPECT_EQ(kernels[i].tag.name, "executor.batch0");
     EXPECT_EQ(kernels[i].tag.stream, static_cast<std::uint32_t>(i % 2));
     EXPECT_NEAR(kernels[i].end_s - kernels[i].start_s, 2e-6, 1e-15);
     latest = std::max(latest, kernels[i].end_s);

@@ -38,11 +38,9 @@ void fill_session(ProfilerSession& session) {
   session.record(inspector);
 
   KernelProfile executor;
-  executor.tag.name = "executor.bin2";
+  executor.tag.name = "executor.batch0";
   executor.tag.phase = "executor";
   executor.tag.stream = 1;
-  executor.tag.bin = 2;
-  executor.tag.shard = 3;
   executor.cost.time_s = 3.0;
   executor.start_s = 1.0;
   executor.end_s = 4.0;
@@ -104,12 +102,9 @@ TEST(ProfileJson, RoundTripsThroughParser) {
   const auto& kernels = doc.at("kernels").as_array();
   ASSERT_EQ(kernels.size(), 2u);
   EXPECT_EQ(kernels[0].at("name").as_string(), "inspector");
-  EXPECT_DOUBLE_EQ(kernels[0].at("bin").as_number(), -1.0);
-  EXPECT_EQ(kernels[1].at("name").as_string(), "executor.bin2");
+  EXPECT_EQ(kernels[1].at("name").as_string(), "executor.batch0");
   EXPECT_EQ(kernels[1].at("phase").as_string(), "executor");
   EXPECT_DOUBLE_EQ(kernels[1].at("stream").as_number(), 1.0);
-  EXPECT_DOUBLE_EQ(kernels[1].at("bin").as_number(), 2.0);
-  EXPECT_DOUBLE_EQ(kernels[1].at("shard").as_number(), 3.0);
   EXPECT_DOUBLE_EQ(kernels[1].at("start_s").as_number(), 1.0);
   EXPECT_DOUBLE_EQ(kernels[1].at("end_s").as_number(), 4.0);
   EXPECT_DOUBLE_EQ(kernels[1].at("load_imbalance").as_number(), 1.5);
@@ -124,8 +119,8 @@ TEST(ProfileReport, TablePrintsHeadlineSignals) {
   std::ostringstream out;
   print_profile(out, session, /*csv=*/false);
   const std::string text = out.str();
-  // Shard-qualified kernel label, and the two headline ratios.
-  EXPECT_NE(text.find("executor.bin2@3"), std::string::npos);
+  // The kernel label, and the two headline ratios.
+  EXPECT_NE(text.find("executor.batch0"), std::string::npos);
   EXPECT_NE(text.find("eager-traceback hit rate"), std::string::npos);
   EXPECT_NE(text.find("score-traffic elision ratio"), std::string::npos);
   EXPECT_NE(text.find("70 of 100 seeds"), std::string::npos);
@@ -152,7 +147,7 @@ TEST(ProfileTrace, KernelsLandOnVirtualGpuLane) {
   EXPECT_EQ(counter.pid, 2u);
 
   const telemetry::TraceEvent& exec = events[2];
-  EXPECT_EQ(exec.name, "executor.bin2@3");
+  EXPECT_EQ(exec.name, "executor.batch0");
   EXPECT_EQ(exec.tid, 1u);  // stream id is the thread lane
   EXPECT_DOUBLE_EQ(exec.ts_us, 10.0 + 1e6);
 }
