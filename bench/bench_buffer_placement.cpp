@@ -18,7 +18,7 @@ using namespace fastz::gpusim;
 int main(int argc, char** argv) {
   CliParser cli("Cyclic-buffer placement: shared memory vs registers "
                 "(Section 3.2).");
-  if (!cli.parse(argc, argv)) return 0;
+  if (const auto code = cli.parse_or_exit(argc, argv)) return *code;
 
   std::cout << "=== Section 3.2: cyclic use-and-discard buffer placement ===\n";
   std::cout << "Per-thread buffer state: " << kCyclicBufferBytesPerThread

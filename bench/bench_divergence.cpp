@@ -20,7 +20,7 @@ int main(int argc, char** argv) {
   CliParser cli("Realized SIMT control divergence of the warp-strip DP "
                 "kernel, vs the paper's 2.56x derate.");
   cli.add_flag("length", "sequence length per test case", "1500");
-  if (!cli.parse(argc, argv)) return 0;
+  if (const auto code = cli.parse_or_exit(argc, argv)) return *code;
   const auto length = static_cast<std::size_t>(cli.get_int("length"));
 
   struct Case {

@@ -17,7 +17,7 @@ int main(int argc, char** argv) {
                 "pairs on Ampere, compared with the same-genus mean.");
   add_harness_flags(cli);
   cli.add_flag("csv", "emit CSV instead of an aligned table", "0");
-  if (!cli.parse(argc, argv)) return 0;
+  if (const auto code = cli.parse_or_exit(argc, argv)) return *code;
   const bool csv = cli.get_bool("csv");
   const HarnessOptions options = harness_options_from(cli);
   const ScoreParams params = harness_score_params(options);

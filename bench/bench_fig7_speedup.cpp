@@ -37,7 +37,7 @@ int main(int argc, char** argv) {
                "write a fastz.profile/v1 JSON of a profiled FastZ/Ampere sweep "
                "to this path (empty: skip)",
                "");
-  if (!cli.parse(argc, argv)) return 0;
+  if (const auto code = cli.parse_or_exit(argc, argv)) return *code;
   const bool csv = cli.get_bool("csv");
   const int repeats = static_cast<int>(std::max<std::int64_t>(3, cli.get_int("repeats")));
   const std::string json_path = cli.get("json");

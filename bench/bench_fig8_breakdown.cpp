@@ -46,7 +46,7 @@ int main(int argc, char** argv) {
   cli.add_flag("json", "write a BenchReport JSON to this path (empty: skip)",
                "BENCH_fig8.json");
   cli.add_flag("trace", "write a Chrome trace to this path (enables telemetry)", "");
-  if (!cli.parse(argc, argv)) return 0;
+  if (const auto code = cli.parse_or_exit(argc, argv)) return *code;
   const bool csv = cli.get_bool("csv");
   const std::string json_path = cli.get("json");
   const std::string trace_path = cli.get("trace");

@@ -38,7 +38,7 @@ int main(int argc, char** argv) {
                "write a fastz.profile/v1 JSON of a profiled FastZ/Ampere sweep "
                "to this path (empty: skip)",
                "");
-  if (!cli.parse(argc, argv)) return 0;
+  if (const auto code = cli.parse_or_exit(argc, argv)) return *code;
   const bool csv = cli.get_bool("csv");
   const std::string json_path = cli.get("json");
   const std::string trace_path = cli.get("trace");

@@ -1,4 +1,4 @@
-// Microbenchmark for PR 5's two host-side optimizations:
+// Microbenchmark for the host-side optimizations of the functional pass:
 //
 //   1. The parallel functional pass: FastzStudy's per-seed inspect/execute
 //      loop on a thread pool vs the serial path, A/B-interleaved with
@@ -7,6 +7,9 @@
 //   2. The strip kernel's SoA fast path: the pointer-rotated SoA sweep
 //      (instrumented and branch-light variants) vs the retained AoS
 //      reference, on chromosome windows spanning multiple 32-lane strips.
+//   3. The strip kernel, forced scalar vs the active SIMD ISA.
+//   4. The single-thread functional pass, forced scalar vs the active ISA:
+//      where the vectorized y-drop rows (the inspector's row scan) land.
 //
 // On a single-core host the functional-pass speedup degenerates to ~1x (or
 // slightly below — pool overhead); the interesting single-core number is
@@ -47,18 +50,18 @@ double min_time_s(int repeats, Fn&& fn) {
   return best;
 }
 
-void check_identical(const FastzStudy& serial, const FastzStudy& parallel) {
-  if (serial.seeds() != parallel.seeds() ||
-      serial.inspector_cells() != parallel.inspector_cells() ||
-      serial.alignments().size() != parallel.alignments().size()) {
-    throw std::runtime_error("parallel functional pass diverged from serial");
+// Throws unless `got` reproduces `want`; `what` names the two variants.
+void check_identical(const FastzStudy& want, const FastzStudy& got, const std::string& what) {
+  if (want.seeds() != got.seeds() || want.inspector_cells() != got.inspector_cells() ||
+      want.alignments().size() != got.alignments().size()) {
+    throw std::runtime_error(what + ": functional pass diverged");
   }
-  for (std::size_t i = 0; i < serial.alignments().size(); ++i) {
-    const Alignment& s = serial.alignments()[i];
-    const Alignment& p = parallel.alignments()[i];
+  for (std::size_t i = 0; i < want.alignments().size(); ++i) {
+    const Alignment& s = want.alignments()[i];
+    const Alignment& p = got.alignments()[i];
     if (s.score != p.score || s.a_begin != p.a_begin || s.b_begin != p.b_begin ||
         s.ops != p.ops) {
-      throw std::runtime_error("parallel functional pass diverged on alignment " +
+      throw std::runtime_error(what + ": functional pass diverged on alignment " +
                                std::to_string(i));
     }
   }
@@ -76,7 +79,7 @@ int main(int argc, char** argv) {
   cli.add_flag("kernel-windows", "number of chromosome windows per kernel sweep", "16");
   cli.add_flag("json", "write a BenchReport JSON to this path (empty: skip)",
                "BENCH_functional_pass.json");
-  if (!cli.parse(argc, argv)) return 0;
+  if (const auto code = cli.parse_or_exit(argc, argv)) return *code;
   const int repeats = static_cast<int>(std::max<std::int64_t>(3, cli.get_int("repeats")));
   const std::size_t window =
       static_cast<std::size_t>(std::max<std::int64_t>(32, cli.get_int("kernel-window")));
@@ -98,10 +101,11 @@ int main(int argc, char** argv) {
   PipelineOptions parallel_opts = serial_opts;
   parallel_opts.threads = options.threads;  // 0 = auto
   const std::size_t n_threads = resolve_thread_count(options.threads);
+  const simd::Isa simd_isa = simd::active_isa();
 
   // --- Part 1: functional pass, serial vs pool, interleaved ---------------
   check_identical(FastzStudy(data.a, data.b, params, serial_opts),
-                  FastzStudy(data.a, data.b, params, parallel_opts));
+                  FastzStudy(data.a, data.b, params, parallel_opts), "serial vs pool");
 
   double serial_min = 0.0;
   double parallel_min = 0.0;
@@ -182,7 +186,6 @@ int main(int argc, char** argv) {
   // checked field-for-field (trace included) before anything is timed, and
   // the process exits nonzero on any divergence. Timing interleaves the two
   // variants per repeat so thermal / scheduler drift cancels.
-  const simd::Isa simd_isa = simd::active_isa();
   double scalar_min = 0.0;
   double simd_min = 0.0;
   {
@@ -241,6 +244,32 @@ int main(int argc, char** argv) {
   ab_row(simd::isa_name(simd_isa), simd_min);
   ab.render(std::cout, false);
 
+  // --- Part 4: functional pass, scalar vs SIMD (interleaved A/B) ----------
+  // Single-thread studies, so the ratio is the vectorized rows' gain on the
+  // whole pass (inspector row scan, phase-A precompute, strip kernel), not
+  // a kernel's. Alignments are checked identical before timing.
+  const auto pass_under = [&](simd::Isa isa) {
+    simd::ScopedIsa force(isa);
+    return FastzStudy(data.a, data.b, params, serial_opts);
+  };
+  check_identical(pass_under(simd::Isa::kScalar), pass_under(simd_isa),
+                  std::string("scalar vs ") + simd::isa_name(simd_isa));
+  double pass_scalar_min = 0.0;
+  double pass_simd_min = 0.0;
+  for (int rep = 0; rep < repeats; ++rep) {
+    const double s = min_time_s(1, [&] { pass_under(simd::Isa::kScalar); });
+    const double v = min_time_s(1, [&] { pass_under(simd_isa); });
+    if (rep == 0 || s < pass_scalar_min) pass_scalar_min = s;
+    if (rep == 0 || v < pass_simd_min) pass_simd_min = v;
+  }
+
+  std::cout << "\n=== Functional pass, scalar vs SIMD (1 thread) ===\n";
+  TextTable pass_ab({"Variant", "Min wallclock (ms)", "Speedup vs scalar"});
+  pass_ab.add_row({"scalar", TextTable::num(pass_scalar_min * 1e3, 1), "1.00"});
+  pass_ab.add_row({simd::isa_name(simd_isa), TextTable::num(pass_simd_min * 1e3, 1),
+                   TextTable::num(pass_scalar_min / pass_simd_min, 2)});
+  pass_ab.render(std::cout, false);
+
   if (!json_path.empty()) {
     telemetry::BenchReport report("functional_pass");
     report.set_repeats(repeats);
@@ -258,6 +287,9 @@ int main(int argc, char** argv) {
     report.add_metric("kernel.scalar_min_s", scalar_min);
     report.add_metric("kernel.simd_min_s", simd_min);
     report.add_metric("kernel.simd_speedup", scalar_min / simd_min);
+    report.add_metric("pass.scalar_min_s", pass_scalar_min);
+    report.add_metric("pass.simd_min_s", pass_simd_min);
+    report.add_metric("pass.simd_speedup", pass_scalar_min / pass_simd_min);
     if (report.write_file(json_path)) {
       std::cout << "\nwrote " << json_path << "\n";
     } else {

@@ -64,7 +64,7 @@ int main(int argc, char** argv) {
   cli.add_flag("csv", "emit CSV instead of an aligned table", "0");
   cli.add_flag("json", "write a BenchReport JSON to this path (empty: skip)",
                "BENCH_longtail.json");
-  if (!cli.parse(argc, argv)) return 0;
+  if (const auto code = cli.parse_or_exit(argc, argv)) return *code;
 
   const bool smoke = cli.get_bool("smoke");
   const double scale = smoke ? 0.02 : cli.get_double("scale");

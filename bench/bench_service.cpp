@@ -457,7 +457,7 @@ int main(int argc, char** argv) {
   cli.add_flag("stats-interval-ms", "snapshot interval for --stats", "50");
   cli.add_flag("json", "write a BenchReport JSON to this path (empty: skip)",
                "BENCH_service.json");
-  if (!cli.parse(argc, argv)) return 0;
+  if (const auto code = cli.parse_or_exit(argc, argv)) return *code;
 
   const HarnessOptions harness = harness_options_from(cli);
   const std::string scenarios = cli.get("scenarios");

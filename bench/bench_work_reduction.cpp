@@ -22,7 +22,7 @@ int main(int argc, char** argv) {
                 "parallel implementations' superset exploration.");
   add_harness_flags(cli);
   cli.add_flag("pairs", "number of benchmark pairs to run (1-9)", "3");
-  if (!cli.parse(argc, argv)) return 0;
+  if (const auto code = cli.parse_or_exit(argc, argv)) return *code;
   HarnessOptions options = harness_options_from(cli);
   const ScoreParams params = harness_score_params(options);
 

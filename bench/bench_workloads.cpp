@@ -16,7 +16,7 @@ int main(int argc, char** argv) {
       "Table 1 / Figure 6 / Figure 10 — benchmark genome inventory and "
       "pairwise alignment workloads.");
   add_harness_flags(cli);
-  if (!cli.parse(argc, argv)) return 0;
+  if (const auto code = cli.parse_or_exit(argc, argv)) return *code;
   const HarnessOptions options = harness_options_from(cli);
 
   std::cout << "=== Table 1: Genomes ===\n";

@@ -21,7 +21,7 @@ int main(int argc, char** argv) {
                 "FastZ and compare the outputs.");
   add_harness_flags(cli);
   cli.add_flag("pair", "benchmark pair label (see bench_workloads)", "C1_1,1");
-  if (!cli.parse(argc, argv)) return 0;
+  if (const auto code = cli.parse_or_exit(argc, argv)) return *code;
   const HarnessOptions options = harness_options_from(cli);
   const ScoreParams params = harness_score_params(options);
 

@@ -20,7 +20,7 @@ int main(int argc, char** argv) {
   CliParser cli("Scan a nematode chromosome against same-genus and "
                 "cross-genus partners.");
   add_harness_flags(cli);
-  if (!cli.parse(argc, argv)) return 0;
+  if (const auto code = cli.parse_or_exit(argc, argv)) return *code;
   HarnessOptions options = harness_options_from(cli);
   const ScoreParams params = harness_score_params(options);
 

@@ -42,12 +42,7 @@ int main(int argc, char** argv) {
                "3000");
   cli.add_flag("max-seeds", "cap on seed sites (0 = all)", "0");
   cli.add_flag("format", "output format: tab (PAF-like) or maf", "tab");
-  try {
-    if (!cli.parse(argc, argv)) return 0;
-  } catch (const std::exception& e) {
-    std::cerr << "error: " << e.what() << "\n" << cli.help();
-    return 2;
-  }
+  if (const auto code = cli.parse_or_exit(argc, argv)) return *code;
 
   std::string target_path = cli.get("target");
   std::string query_path = cli.get("query");

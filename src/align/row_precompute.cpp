@@ -43,18 +43,21 @@ void row_precompute_sse2(const Score*, const Score*, const Score*, const Score*,
                          Score, std::size_t, Score*, Score*, std::uint8_t*);
 void row_precompute_plain_sse2(const Score*, const Score*, const Score*, const Score*,
                                Score, Score, std::size_t, Score*, Score*, std::uint8_t*);
+RowScanResult row_scan_sse2(const RowScanArgs&);
 #endif
 #ifdef FASTZ_SIMD_HAS_AVX2
 void row_precompute_avx2(const Score*, const Score*, const Score*, const Score*, Score,
                          Score, std::size_t, Score*, Score*, std::uint8_t*);
 void row_precompute_plain_avx2(const Score*, const Score*, const Score*, const Score*,
                                Score, Score, std::size_t, Score*, Score*, std::uint8_t*);
+RowScanResult row_scan_avx2(const RowScanArgs&);
 #endif
 #ifdef FASTZ_SIMD_HAS_NEON
 void row_precompute_neon(const Score*, const Score*, const Score*, const Score*, Score,
                          Score, std::size_t, Score*, Score*, std::uint8_t*);
 void row_precompute_plain_neon(const Score*, const Score*, const Score*, const Score*,
                                Score, Score, std::size_t, Score*, Score*, std::uint8_t*);
+RowScanResult row_scan_neon(const RowScanArgs&);
 #endif
 
 RowPrecomputeFn row_precompute_fn(simd::Isa isa) noexcept {
@@ -89,6 +92,25 @@ RowPrecomputeFn row_precompute_plain_fn(simd::Isa isa) noexcept {
 #ifdef FASTZ_SIMD_HAS_NEON
     case simd::Isa::kNeon:
       return &row_precompute_plain_neon;
+#endif
+    default:
+      return nullptr;
+  }
+}
+
+RowScanFn row_scan_fn(simd::Isa isa) noexcept {
+  switch (isa) {
+#ifdef FASTZ_SIMD_HAS_SSE2
+    case simd::Isa::kSse2:
+      return &row_scan_sse2;
+#endif
+#ifdef FASTZ_SIMD_HAS_AVX2
+    case simd::Isa::kAvx2:
+      return &row_scan_avx2;
+#endif
+#ifdef FASTZ_SIMD_HAS_NEON
+    case simd::Isa::kNeon:
+      return &row_scan_neon;
 #endif
     default:
       return nullptr;

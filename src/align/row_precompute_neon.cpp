@@ -1,4 +1,4 @@
-// 128-bit ARM row-precompute instantiations (architectural on AArch64).
+// 128-bit ARM row-precompute and row-scan instantiations (architectural on AArch64).
 #if defined(__ARM_NEON)
 #include "align/row_precompute_impl.hpp"
 
@@ -18,6 +18,10 @@ void row_precompute_plain_neon(const Score* s_up, const Score* s_diag, const Sco
                                std::uint8_t* d_opened) {
   row_precompute_vec<simd::VecNeon, false>(s_up, s_diag, gd_up, prof, open_extend,
                                            extend_only, count, d_val, diag, d_opened);
+}
+
+RowScanResult row_scan_neon(const RowScanArgs& args) {
+  return row_scan_vec<simd::VecNeon>(args);
 }
 
 }  // namespace fastz::detail

@@ -10,7 +10,9 @@ namespace fastz {
 // Full-trace driver over the shared row core (ydrop_row_core.hpp): every
 // explored row's packed codes are retained, so traceback is a single walk.
 // `ydrop_linear_traceback` (ydrop_linear.cpp) runs the same rows but keeps
-// only O(n+m) of trace state.
+// only O(n+m) of trace state. The inspector's configuration (conservative,
+// no traceback) runs the score-only vector row scan instead when the active
+// ISA has one; its results are identical to the scalar rows.
 OneSidedResult ydrop_one_sided_align(SeqView a, SeqView b, const ScoreParams& params,
                                      const OneSidedOptions& options) {
   using detail::ScoreRow;
@@ -30,6 +32,9 @@ OneSidedResult ydrop_one_sided_align(SeqView a, SeqView b, const ScoreParams& pa
 
   const detail::RowContext ctx = detail::make_row_context(
       a, b, params, n, options.prune == PruneMode::kSequential);
+  if (!keep_trace && options.prune == PruneMode::kConservative) {
+    ctx.simd.scan = detail::row_scan_fn(simd::active_isa());
+  }
 
   // ---- Row 0: a pure insertion run from the origin. -----------------------
   ScoreRow prev;
@@ -44,8 +49,11 @@ OneSidedResult ydrop_one_sided_align(SeqView a, SeqView b, const ScoreParams& pa
   // ---- Rows 1..m ----------------------------------------------------------
   TraceRow trow;
   for (std::uint32_t row = 1; row <= m; ++row) {
-    const detail::RowOutcome o = detail::advance_row(ctx, row, prev, cur, result.best,
-                                                     keep_trace ? &trow : nullptr);
+    const detail::RowOutcome o =
+        ctx.simd.scan != nullptr
+            ? detail::advance_row_scan(ctx, row, prev, cur, result.best)
+            : detail::advance_row(ctx, row, prev, cur, result.best,
+                                  keep_trace ? &trow : nullptr);
     result.cells += o.cells;
     if (!o.any_viable) break;
 

@@ -33,7 +33,9 @@ using AlignedScores = std::vector<Score, util::AlignedAllocator<Score, 64>>;
 // One DP row: scores for columns [lo, lo + width). Pruned cells store
 // kNegativeInfinity so downstream reads see them as unreachable — LASTZ's
 // hard-prune semantics. Buffers are reused across rows (the inner loop must
-// not allocate).
+// not allocate) and keep kRowScanPad slack for the row scan's full-width
+// final vector. The next row reads only `s` and `gd`; the score-only row
+// scan leaves `gi` unwritten.
 struct ScoreRow {
   std::uint32_t lo = 0;
   std::uint32_t width = 0;
@@ -44,10 +46,10 @@ struct ScoreRow {
   AlignedScores gd;
 
   void ensure_capacity(std::size_t n) {
-    if (s.size() < n) {
-      s.resize(n);
-      gi.resize(n);
-      gd.resize(n);
+    if (s.size() < n + kRowScanPad) {
+      s.resize(n + kRowScanPad);
+      gi.resize(n + kRowScanPad);
+      gd.resize(n + kRowScanPad);
     }
   }
 };
@@ -74,13 +76,15 @@ constexpr TraceCode row0_code(std::uint32_t j) noexcept {
 // least this wide; narrower rows are pure overhead for a vector setup.
 inline constexpr std::uint32_t kRowSimdMinSpan = 8;
 
-// Mutable SIMD scratch owned by the row sweep. The fn pointer is resolved
-// once per sweep from the active ISA; the score profile
+// Mutable SIMD scratch owned by the row sweep. The fn pointers are resolved
+// once per sweep from the active ISA (`scan` only for a score-only
+// conservative sweep); the score profile
 // (profile[c][j] == subst[c][b[j]]) is built lazily up to a column
 // watermark with amortized doubling so short extensions never pay for the
-// full sequence. All buffers are reused across rows.
+// full sequence. All buffers are reused across rows and die with the sweep.
 struct RowSimdState {
   RowPrecomputeFn fn = nullptr;
+  RowScanFn scan = nullptr;
   std::array<AlignedScores, kAlphabetSize> profile;
   std::uint32_t built = 0;  // profile covers columns [0, built)
   AlignedScores d_val;
@@ -150,6 +154,25 @@ inline std::uint32_t init_row0(const RowContext& ctx, ScoreRow& prev, TraceRow* 
   prev.first = 0;
   prev.last = w - 1;
   return w;
+}
+
+// Grows the score profile to cover columns [0, cols), plus kRowScanPad
+// readable (unspecified) slack.
+inline void grow_profile(const RowContext& ctx, std::uint32_t cols) {
+  RowSimdState& st = ctx.simd;
+  if (st.built >= cols) return;
+  const std::uint32_t grown =
+      std::min(ctx.n, std::max({cols, st.built * 2, std::uint32_t{256}}));
+  for (std::uint32_t c = 0; c < kAlphabetSize; ++c) {
+    st.profile[c].resize(std::size_t{grown} + kRowScanPad);
+  }
+  for (std::uint32_t col = st.built; col < grown; ++col) {
+    const BaseCode b_code = ctx.b[col];
+    for (std::uint32_t c = 0; c < kAlphabetSize; ++c) {
+      st.profile[c][col] = ctx.params->subst[c][b_code];
+    }
+  }
+  st.built = grown;
 }
 
 struct RowOutcome {
@@ -222,18 +245,7 @@ inline RowOutcome advance_row(const RowContext& ctx, std::uint32_t row, ScoreRow
     const std::uint32_t span_hi = std::min(j_cap, prev_hi - 1);  // inclusive
     if (span_lo <= span_hi && span_hi - span_lo + 1 >= kRowSimdMinSpan) {
       RowSimdState& st = ctx.simd;
-      if (st.built < span_hi) {
-        const std::uint32_t grown = std::min(
-            ctx.n, std::max({span_hi, st.built * 2, std::uint32_t{256}}));
-        for (std::uint32_t c = 0; c < kAlphabetSize; ++c) st.profile[c].resize(grown);
-        for (std::uint32_t col = st.built; col < grown; ++col) {
-          const BaseCode b_code = ctx.b[col];
-          for (std::uint32_t c = 0; c < kAlphabetSize; ++c) {
-            st.profile[c][col] = params.subst[c][b_code];
-          }
-        }
-        st.built = grown;
-      }
+      grow_profile(ctx, span_hi);
       core_lo = span_lo;
       core_count = span_hi - span_lo + 1;
       if (st.d_val.size() < core_count) {
@@ -378,6 +390,120 @@ inline RowOutcome advance_row(const RowContext& ctx, std::uint32_t row, ScoreRow
   outcome.any_viable = any_viable;
   outcome.first_viable = first_viable;
   outcome.last_viable = last_viable;
+  return outcome;
+}
+
+// Score-only conservative row: the same outcome, best cell and stored S/D
+// as advance_row(ctx, row, prev, cur, best, nullptr) with
+// ctx.sequential == false, and the same cell count. Every cell with a
+// diagonal neighbour in the previous row — columns up to prev_hi, the last
+// through a -inf sentinel written one past `prev` — goes through
+// ctx.simd.scan in one branch-free vector pass (exactness argument:
+// row_precompute_impl.hpp). What stays scalar has at most one source: the
+// column-0 border and the first cell (D only), and the insertion run past
+// prev_hi (I only). Requires ctx.simd.scan.
+inline RowOutcome advance_row_scan(const RowContext& ctx, std::uint32_t row,
+                                   ScoreRow& prev, ScoreRow& cur, BestCell& best) {
+  const std::uint32_t prev_lo = prev.lo;
+  const std::uint32_t prev_hi = prev_lo + prev.width;
+  const std::uint32_t start_lo = prev.first;
+  const std::uint32_t j_cap = std::min(ctx.n, prev_hi + ctx.max_right_run);
+  const std::uint32_t span_lo = std::max(std::max(start_lo, 1u), prev_lo + 1);
+  const std::uint32_t span_hi = std::min(j_cap, prev_hi);  // inclusive
+  if (span_lo > span_hi) return advance_row(ctx, row, prev, cur, best, nullptr);
+
+  const ScoreParams& params = *ctx.params;
+  cur.ensure_capacity(std::size_t{j_cap} - start_lo + 2);
+  cur.lo = start_lo;
+  const Score cutoff = best.score - params.ydrop;
+  BestCell row_best = best;
+  Score* const cs = cur.s.data();
+  Score* const cd = cur.gd.data();
+  Score* const ps = prev.s.data();
+  Score* const pd = prev.gd.data();
+
+  bool any_viable = false;
+  std::uint32_t first_viable = 0;
+  std::uint32_t last_viable = 0;
+  const auto mark_viable = [&](std::uint32_t first, std::uint32_t last) {
+    if (!any_viable) {
+      any_viable = true;
+      first_viable = first;
+    }
+    last_viable = last;
+  };
+  // Stores one scalar cell whose S is its single candidate `v`.
+  const auto edge_cell = [&](std::uint32_t j, std::uint32_t out, Score v, bool viable,
+                             Score d_val) {
+    cs[out] = viable ? v : kNegativeInfinity;
+    cd[out] = viable ? d_val : kNegativeInfinity;
+    if (viable) {
+      row_best.consider(v, row, j);
+      mark_viable(j, j);
+    }
+  };
+
+  std::uint32_t out = 0;
+  if (start_lo == 0) {  // column 0 border, as in advance_row
+    const Score d_val = params.gap_open + static_cast<Score>(row) * params.gap_extend;
+    edge_cell(0, 0, d_val, d_val >= cutoff, d_val);
+    out = 1;
+  } else if (start_lo == prev_lo) {  // no diagonal and no left neighbour
+    const Score d_val = std::max(add_score(pd[0], ctx.extend_only),
+                                 add_score(ps[0], ctx.open_extend));
+    edge_cell(start_lo, 0, d_val, d_val > kNegativeInfinity && d_val >= cutoff, d_val);
+    out = 1;
+  }
+
+  grow_profile(ctx, span_hi);
+  ps[prev.width] = kNegativeInfinity;  // column prev_hi has no up cell
+  pd[prev.width] = kNegativeInfinity;
+  const BaseCode a_base = ctx.a[row - 1];
+  RowScanArgs args;
+  args.s_up = ps + (span_lo - prev_lo);
+  args.s_diag = ps + (span_lo - 1 - prev_lo);
+  args.gd_up = pd + (span_lo - prev_lo);
+  args.prof = ctx.simd.profile[a_base].data() + (span_lo - 1);
+  args.count = span_hi - span_lo + 1;
+  args.open_extend = ctx.open_extend;
+  args.extend_only = ctx.extend_only;
+  args.left_s = out == 0 ? kNegativeInfinity : cs[0];
+  args.floor = static_cast<Score>(std::max<std::int64_t>(
+      std::int64_t{cutoff} - 1, std::int64_t{kNegativeInfinity}));
+  args.s_out = cs + out;
+  args.d_out = cd + out;
+  const RowScanResult span = ctx.simd.scan(args);
+  if (span.first < args.count) {
+    mark_viable(span_lo + static_cast<std::uint32_t>(span.first),
+                span_lo + static_cast<std::uint32_t>(span.last));
+    row_best.consider(span.best, row, span_lo + static_cast<std::uint32_t>(span.best_at));
+  }
+  out += static_cast<std::uint32_t>(args.count);
+
+  // Past prev_hi only the insertion chain carries scores, and the row ends
+  // at its first pruned cell (counted).
+  Score left_s = cs[out - 1];
+  Score left_i = span.exit_i;
+  for (std::uint32_t j = span_hi + 1; j <= j_cap && left_s > kNegativeInfinity;
+       ++j, ++out) {
+    const Score i_val = std::max(add_score(left_i, ctx.extend_only),
+                                 add_score(left_s, ctx.open_extend));
+    const bool viable = i_val > kNegativeInfinity && i_val >= cutoff;
+    edge_cell(j, out, i_val, viable, kNegativeInfinity);
+    left_s = cs[out];
+    left_i = viable ? i_val : kNegativeInfinity;
+  }
+
+  best = row_best;
+  cur.width = out;
+  cur.first = first_viable;
+  cur.last = last_viable;
+
+  RowOutcome outcome;
+  outcome.any_viable = any_viable;
+  outcome.first_viable = first_viable;
+  outcome.last_viable = last_viable;
+  outcome.cells = out;  // every computed cell, the one that ends the row included
   return outcome;
 }
 

@@ -42,7 +42,7 @@ int main(int argc, char** argv) {
   cli.add_flag("counters", "also compare the counters block", "0");
   cli.add_flag("allow-missing", "tolerate baseline metrics absent from current", "0");
   cli.add_flag("verbose", "print unchanged metrics too", "0");
-  if (!cli.parse(argc, argv)) return 0;
+  if (const auto code = cli.parse_or_exit(argc, argv)) return *code;
 
   const std::string baseline_path = cli.get("baseline");
   const std::string current_path = cli.get("current");

@@ -69,7 +69,7 @@ int main(int argc, char** argv) {
                "write a merged host + virtual-GPU Chrome trace to this path "
                "(enables telemetry)",
                "");
-  if (!cli.parse(argc, argv)) return 0;
+  if (const auto code = cli.parse_or_exit(argc, argv)) return *code;
 
   const bool csv = cli.get_bool("csv");
   const std::string json_path = cli.get("json");

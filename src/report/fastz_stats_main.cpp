@@ -50,7 +50,7 @@ int main(int argc, char** argv) {
   cli.add_flag("input", "snapshot JSONL file (required; '-' = stdin)", "");
   cli.add_flag("csv", "emit CSV instead of an aligned table", "0");
   cli.add_flag("kernels", "also print the per-kernel launch-delta table", "0");
-  if (!cli.parse(argc, argv)) return 0;
+  if (const auto code = cli.parse_or_exit(argc, argv)) return *code;
 
   const std::string input = cli.get("input");
   if (input.empty()) {

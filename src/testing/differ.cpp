@@ -143,13 +143,83 @@ void diff_one_sided_exact(DiffResult& out, const FuzzCase& c, InjectedBug bug) {
   }
 }
 
-// ---- SIMD-vs-scalar: every vector ISA available on this host must
-// reproduce the forced-scalar DP field-for-field — best cell, cell/step
-// counts, spill bytes, divergence census, the dense trace buffer, and the
-// walked ops — across all three vectorized hot paths (strip kernel, y-drop
-// row sweep, flagged Gotoh pass). kSimdLaneGapOpen perturbs one vector lane
-// of the strip kernel's gap-open constant; the field comparison MUST catch
-// it whenever a vector ISA runs.
+bool same_row_bounds(const std::vector<RowBounds>& x, const std::vector<RowBounds>& y) {
+  return std::equal(x.begin(), x.end(), y.begin(), y.end(),
+                    [](const RowBounds& p, const RowBounds& q) {
+                      return p.lo == q.lo && p.hi == q.hi;
+                    });
+}
+
+// ---- y-drop SIMD-vs-scalar, on every kind and at every size: each vector
+// ISA available on this host must reproduce the forced-scalar sweep under
+// two option sets. The default (sequential, traceback) runs the phase-A
+// precompute under the scalar rows: best cell, cells and the walked ops
+// must match. The inspector's (conservative, no traceback, row bounds) runs
+// the score-only vector row scan: best cell, cells, rows, widest row, the
+// truncation flag and every row's viable bounds must match. The long kinds
+// are where the scan's carries and pruned runs get long.
+void diff_ydrop_simd_vs_scalar(DiffResult& out, const FuzzCase& c) {
+  OneSidedOptions inspect;
+  inspect.prune = PruneMode::kConservative;
+  inspect.want_traceback = false;
+  inspect.record_row_bounds = true;
+
+  OneSidedResult ydrop_scalar;
+  OneSidedResult inspect_scalar;
+  {
+    simd::ScopedIsa force(simd::Isa::kScalar);
+    ydrop_scalar = ydrop_one_sided_align(c.a.codes(), c.b.codes(), c.params);
+    inspect_scalar = ydrop_one_sided_align(c.a.codes(), c.b.codes(), c.params, inspect);
+  }
+
+  for (const simd::Isa isa : simd::available_isas()) {
+    if (isa == simd::Isa::kScalar) continue;
+    simd::ScopedIsa force(isa);
+    const std::string who = std::string("[") + simd::isa_name(isa) + "] ";
+
+    const OneSidedResult ydrop =
+        ydrop_one_sided_align(c.a.codes(), c.b.codes(), c.params);
+    out.expect(ydrop.best.score == ydrop_scalar.best.score &&
+                   ydrop.best.i == ydrop_scalar.best.i &&
+                   ydrop.best.j == ydrop_scalar.best.j,
+               tag(c, who + "y-drop best " + cell_str(ydrop.best) + " != scalar " +
+                          cell_str(ydrop_scalar.best)));
+    out.expect(ydrop.cells == ydrop_scalar.cells,
+               tag(c, who + "y-drop explored " + std::to_string(ydrop.cells) +
+                          " cells != scalar " + std::to_string(ydrop_scalar.cells)));
+    out.expect(ydrop.ops == ydrop_scalar.ops,
+               tag(c, who + "y-drop cigar " + cigar_of(ydrop.ops) + " != scalar " +
+                          cigar_of(ydrop_scalar.ops)));
+
+    const OneSidedResult insp =
+        ydrop_one_sided_align(c.a.codes(), c.b.codes(), c.params, inspect);
+    out.expect(insp.best.score == inspect_scalar.best.score &&
+                   insp.best.i == inspect_scalar.best.i &&
+                   insp.best.j == inspect_scalar.best.j,
+               tag(c, who + "inspector y-drop best " + cell_str(insp.best) +
+                          " != scalar " + cell_str(inspect_scalar.best)));
+    out.expect(insp.cells == inspect_scalar.cells &&
+                   insp.rows_explored == inspect_scalar.rows_explored &&
+                   insp.max_row_width == inspect_scalar.max_row_width &&
+                   insp.truncated == inspect_scalar.truncated,
+               tag(c, who + "inspector y-drop census (cells " + std::to_string(insp.cells) +
+                          ", rows " + std::to_string(insp.rows_explored) + ", width " +
+                          std::to_string(insp.max_row_width) + ") != scalar (" +
+                          std::to_string(inspect_scalar.cells) + ", " +
+                          std::to_string(inspect_scalar.rows_explored) + ", " +
+                          std::to_string(inspect_scalar.max_row_width) + ")"));
+    out.expect(same_row_bounds(insp.row_bounds, inspect_scalar.row_bounds),
+               tag(c, who + "inspector y-drop row bounds != scalar"));
+  }
+}
+
+// ---- Strip kernel and flagged Gotoh pass, SIMD-vs-scalar: every vector ISA
+// available on this host must reproduce the forced-scalar DP field-for-field
+// — best cell, cell/step counts, spill bytes, divergence census, the dense
+// trace buffer, and the walked ops. kSimdLaneGapOpen perturbs one vector
+// lane of the strip kernel's gap-open constant; the field comparison MUST
+// catch it whenever a vector ISA runs. Both DPs are quadratic, so only
+// cases within the strip kernel's size limit run here.
 void diff_simd_vs_scalar(DiffResult& out, const FuzzCase& c, InjectedBug bug) {
   if (c.a.size() > kStripKernelMaxDim || c.b.size() > kStripKernelMaxDim) return;
 
@@ -160,12 +230,10 @@ void diff_simd_vs_scalar(DiffResult& out, const FuzzCase& c, InjectedBug bug) {
   opts.divergence_census = true;
 
   StripKernelResult strip_scalar;
-  OneSidedResult ydrop_scalar;
   ReferenceResult gotoh_scalar;
   {
     simd::ScopedIsa force(simd::Isa::kScalar);
     strip_scalar = strip_rectangle_dp(av, bv, c.params, opts);
-    ydrop_scalar = ydrop_one_sided_align(c.a.codes(), c.b.codes(), c.params);
     gotoh_scalar = reference_extend(c.a.codes(), c.b.codes(), c.params,
                                     ReferenceOptions{/*simd=*/true});
   }
@@ -205,20 +273,6 @@ void diff_simd_vs_scalar(DiffResult& out, const FuzzCase& c, InjectedBug bug) {
     out.expect(strip.ops == strip_scalar.ops,
                tag(c, who + "strip kernel cigar " + cigar_of(strip.ops) +
                           " != scalar " + cigar_of(strip_scalar.ops)));
-
-    const OneSidedResult ydrop =
-        ydrop_one_sided_align(c.a.codes(), c.b.codes(), c.params);
-    out.expect(ydrop.best.score == ydrop_scalar.best.score &&
-                   ydrop.best.i == ydrop_scalar.best.i &&
-                   ydrop.best.j == ydrop_scalar.best.j,
-               tag(c, who + "y-drop best " + cell_str(ydrop.best) + " != scalar " +
-                          cell_str(ydrop_scalar.best)));
-    out.expect(ydrop.cells == ydrop_scalar.cells,
-               tag(c, who + "y-drop explored " + std::to_string(ydrop.cells) +
-                          " cells != scalar " + std::to_string(ydrop_scalar.cells)));
-    out.expect(ydrop.ops == ydrop_scalar.ops,
-               tag(c, who + "y-drop cigar " + cigar_of(ydrop.ops) + " != scalar " +
-                          cigar_of(ydrop_scalar.ops)));
 
     const ReferenceResult gotoh = reference_extend(
         c.a.codes(), c.b.codes(), c.params, ReferenceOptions{/*simd=*/true});
@@ -570,6 +624,7 @@ DiffResult diff_case(const FuzzCase& c, InjectedBug bug) {
       diff_hirschberg(out, c, bug);
       break;
   }
+  diff_ydrop_simd_vs_scalar(out, c);
   return out;
 }
 

@@ -61,9 +61,8 @@ int main(int argc, char** argv) {
                "FASTZ_THREADS env, then hardware concurrency; 1 = serial)",
                "0");
 
+  if (const auto code = cli.parse_or_exit(argc, argv)) return *code;
   try {
-    if (!cli.parse(argc, argv)) return 0;
-
     FuzzOptions options;
     options.cases = static_cast<std::uint64_t>(cli.get_int("cases"));
     options.first_seed = static_cast<std::uint64_t>(cli.get_int("seed"));

@@ -42,6 +42,16 @@ bool CliParser::parse(int argc, const char* const* argv) {
   return true;
 }
 
+std::optional<int> CliParser::parse_or_exit(int argc, const char* const* argv) {
+  try {
+    if (!parse(argc, argv)) return 0;
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "error: " << e.what() << "\n\n" << help();
+    return 2;
+  }
+  return std::nullopt;
+}
+
 std::string CliParser::get(const std::string& name) const {
   auto it = flags_.find(name);
   if (it == flags_.end()) throw std::invalid_argument("unregistered flag: " + name);

@@ -25,6 +25,12 @@ class CliParser {
   // Throws std::invalid_argument on unknown flags or missing values.
   bool parse(int argc, const char* const* argv);
 
+  // parse() for a main(): returns the code main should exit with now — 0
+  // after --help, 2 after printing the error and the usage to stderr — or
+  // std::nullopt to carry on:
+  //   if (const auto code = cli.parse_or_exit(argc, argv)) return *code;
+  std::optional<int> parse_or_exit(int argc, const char* const* argv);
+
   std::string get(const std::string& name) const;
   std::int64_t get_int(const std::string& name) const;
   double get_double(const std::string& name) const;

@@ -1,8 +1,9 @@
 // Minimal i32 vector wrappers behind the portable-SIMD kernels.
 //
-// Each struct wraps one native register width with the dozen operations the
-// DP recurrences need (add / max / compares / blend / movemask / byte
-// widening). The wrappers are defined only when the including translation
+// Each struct wraps one native register width with the operations the DP
+// recurrences need (add / max / compares / blend / movemask / byte
+// widening, and the lane shift + last-lane broadcast of a prefix scan).
+// The wrappers are defined only when the including translation
 // unit is compiled for the matching ISA (`__SSE2__` / `__AVX2__` /
 // `__ARM_NEON`): the per-ISA kernel TUs get their flags from CMake
 // (e.g. `-mavx2` on strip_kernel_avx2.cpp), so a template kernel
@@ -86,6 +87,17 @@ struct VecSse2 {
   static int movemask(VecSse2 mask) noexcept {
     return _mm_movemask_ps(_mm_castsi128_ps(mask.v));
   }
+  // Lane l takes lane l - K; the K lowest lanes take `fill`, which must be a
+  // broadcast (every lane equal).
+  template <int K>
+  static VecSse2 shift_up(VecSse2 v, VecSse2 fill) noexcept {
+    static_assert(K > 0 && K < kLanes);
+    return {_mm_or_si128(_mm_slli_si128(v.v, 4 * K), _mm_srli_si128(fill.v, 16 - 4 * K))};
+  }
+  // Every lane takes the highest lane.
+  static VecSse2 broadcast_last(VecSse2 v) noexcept {
+    return {_mm_shuffle_epi32(v.v, 0xFF)};
+  }
 };
 
 #endif  // __SSE2__
@@ -139,6 +151,23 @@ struct VecAvx2 {
   }
   static int movemask(VecAvx2 mask) noexcept {
     return _mm256_movemask_ps(_mm256_castsi256_ps(mask.v));
+  }
+  template <int K>
+  static VecAvx2 shift_up(VecAvx2 v, VecAvx2 fill) noexcept {
+    static_assert(K > 0 && K < kLanes);
+    // below = [fill.lo128 | v.lo128]: what slides into each 128-bit half of
+    // the result from underneath (alignr works within 128-bit halves).
+    const __m256i below = _mm256_permute2x128_si256(v.v, fill.v, 0x02);
+    if constexpr (K == 4) {
+      return {below};
+    } else if constexpr (K < 4) {
+      return {_mm256_alignr_epi8(v.v, below, 16 - 4 * K)};
+    } else {
+      return {_mm256_alignr_epi8(below, fill.v, 32 - 4 * K)};
+    }
+  }
+  static VecAvx2 broadcast_last(VecAvx2 v) noexcept {
+    return {_mm256_permutevar8x32_epi32(v.v, _mm256_set1_epi32(7))};
   }
 };
 
@@ -198,6 +227,15 @@ struct VecNeon {
         vadd_u32(vget_low_u32(weighted), vget_high_u32(weighted));
     return static_cast<int>(vget_lane_u32(vpadd_u32(sum, sum), 0));
 #endif
+  }
+  template <int K>
+  static VecNeon shift_up(VecNeon v, VecNeon fill) noexcept {
+    static_assert(K > 0 && K < kLanes);
+    // vext(a, b, n) = lanes n.. of the concatenation a:b.
+    return {vextq_s32(fill.v, v.v, 4 - K)};
+  }
+  static VecNeon broadcast_last(VecNeon v) noexcept {
+    return {vdupq_n_s32(vgetq_lane_s32(v.v, 3))};
   }
 };
 
