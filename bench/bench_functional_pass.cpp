@@ -9,7 +9,9 @@
 //      reference, on chromosome windows spanning multiple 32-lane strips.
 //   3. The strip kernel, forced scalar vs the active SIMD ISA.
 //   4. The single-thread functional pass, forced scalar vs the active ISA:
-//      where the vectorized y-drop rows (the inspector's row scan) land.
+//      where the vectorized y-drop rows (the row scan) land; and the
+//      executor alone over the pass's non-eager tasks, half of them forced
+//      onto the Hirschberg path, under the same A/B.
 //
 // On a single-core host the functional-pass speedup degenerates to ~1x (or
 // slightly below — pool overhead); the interesting single-core number is
@@ -22,6 +24,7 @@
 #include <utility>
 #include <vector>
 
+#include "fastz/executor.hpp"
 #include "fastz/fastz_pipeline.hpp"
 #include "fastz/strip_kernel.hpp"
 #include "report/experiment.hpp"
@@ -65,6 +68,39 @@ void check_identical(const FastzStudy& want, const FastzStudy& got, const std::s
                                std::to_string(i));
     }
   }
+}
+
+// Runs the executor over every non-eager task of `study`; odd-numbered
+// tasks are forced onto the Hirschberg path (area threshold 1), so both
+// executor paths are on the clock.
+std::vector<ExecutorOutcome> execute_tasks(const FastzStudy& study, const Sequence& a,
+                                           const Sequence& b, const ScoreParams& params,
+                                           const OneSidedOptions& limits) {
+  OneSidedOptions linear = limits;
+  linear.hirschberg_area = 1;
+  std::vector<ExecutorOutcome> outcomes;
+  for (const SeedWork& work : study.seed_work()) {
+    if (work.inspection.eager) continue;
+    outcomes.push_back(execute_seed(a, b, work.inspection, params, FastzConfig::full(),
+                                    outcomes.size() % 2 == 1 ? linear : limits));
+  }
+  return outcomes;
+}
+
+// Throws unless every task's alignment and accounting match.
+void check_identical(const std::vector<ExecutorOutcome>& want,
+                     const std::vector<ExecutorOutcome>& got, const std::string& what) {
+  bool same = want.size() == got.size();
+  for (std::size_t i = 0; same && i < want.size(); ++i) {
+    const ExecutorOutcome& w = want[i];
+    const ExecutorOutcome& g = got[i];
+    same = w.alignment.ops == g.alignment.ops && w.alignment.score == g.alignment.score &&
+           w.cells == g.cells && w.replay_cells == g.replay_cells &&
+           w.traceback_bytes == g.traceback_bytes &&
+           w.traceback_peak_bytes == g.traceback_peak_bytes &&
+           w.checkpoint_bytes == g.checkpoint_bytes && w.hirschberg == g.hirschberg;
+  }
+  if (!same) throw std::runtime_error(what + ": executor tasks diverged");
 }
 
 }  // namespace
@@ -252,7 +288,8 @@ int main(int argc, char** argv) {
     simd::ScopedIsa force(isa);
     return FastzStudy(data.a, data.b, params, serial_opts);
   };
-  check_identical(pass_under(simd::Isa::kScalar), pass_under(simd_isa),
+  const FastzStudy study = pass_under(simd_isa);
+  check_identical(pass_under(simd::Isa::kScalar), study,
                   std::string("scalar vs ") + simd::isa_name(simd_isa));
   double pass_scalar_min = 0.0;
   double pass_simd_min = 0.0;
@@ -263,11 +300,33 @@ int main(int argc, char** argv) {
     if (rep == 0 || v < pass_simd_min) pass_simd_min = v;
   }
 
-  std::cout << "\n=== Functional pass, scalar vs SIMD (1 thread) ===\n";
+  // The executor alone, over the pass's non-eager tasks (traced rows, dense
+  // and Hirschberg), under the same single-thread A/B.
+  const auto execute_under = [&](simd::Isa isa) {
+    simd::ScopedIsa force(isa);
+    return execute_tasks(study, data.a, data.b, params, serial_opts.one_sided);
+  };
+  check_identical(execute_under(simd::Isa::kScalar), execute_under(simd_isa),
+                  std::string("scalar vs ") + simd::isa_name(simd_isa));
+  double exec_scalar_min = 0.0;
+  double exec_simd_min = 0.0;
+  for (int rep = 0; rep < repeats; ++rep) {
+    const double s = min_time_s(1, [&] { execute_under(simd::Isa::kScalar); });
+    const double v = min_time_s(1, [&] { execute_under(simd_isa); });
+    if (rep == 0 || s < exec_scalar_min) exec_scalar_min = s;
+    if (rep == 0 || v < exec_simd_min) exec_simd_min = v;
+  }
+
+  std::cout << "\n=== Functional pass and executor, scalar vs SIMD (1 thread) ===\n";
   TextTable pass_ab({"Variant", "Min wallclock (ms)", "Speedup vs scalar"});
-  pass_ab.add_row({"scalar", TextTable::num(pass_scalar_min * 1e3, 1), "1.00"});
-  pass_ab.add_row({simd::isa_name(simd_isa), TextTable::num(pass_simd_min * 1e3, 1),
+  pass_ab.add_row({"pass scalar", TextTable::num(pass_scalar_min * 1e3, 1), "1.00"});
+  pass_ab.add_row({std::string("pass ") + simd::isa_name(simd_isa),
+                   TextTable::num(pass_simd_min * 1e3, 1),
                    TextTable::num(pass_scalar_min / pass_simd_min, 2)});
+  pass_ab.add_row({"executor scalar", TextTable::num(exec_scalar_min * 1e3, 1), "1.00"});
+  pass_ab.add_row({std::string("executor ") + simd::isa_name(simd_isa),
+                   TextTable::num(exec_simd_min * 1e3, 1),
+                   TextTable::num(exec_scalar_min / exec_simd_min, 2)});
   pass_ab.render(std::cout, false);
 
   if (!json_path.empty()) {
@@ -290,6 +349,9 @@ int main(int argc, char** argv) {
     report.add_metric("pass.scalar_min_s", pass_scalar_min);
     report.add_metric("pass.simd_min_s", pass_simd_min);
     report.add_metric("pass.simd_speedup", pass_scalar_min / pass_simd_min);
+    report.add_metric("executor.scalar_min_s", exec_scalar_min);
+    report.add_metric("executor.simd_min_s", exec_simd_min);
+    report.add_metric("executor.simd_speedup", exec_scalar_min / exec_simd_min);
     if (report.write_file(json_path)) {
       std::cout << "\nwrote " << json_path << "\n";
     } else {

@@ -56,13 +56,14 @@ RowPrecomputeFn row_precompute_fn(simd::Isa isa) noexcept;
 // Plain-add variant (Gotoh reference semantics); same fallback contract.
 RowPrecomputeFn row_precompute_plain_fn(simd::Isa isa) noexcept;
 
-// ---- Score-only row scan ----------------------------------------------------
+// ---- Row scan -----------------------------------------------------------------
 //
-// The whole core span of one conservative-mode, traceback-free y-drop row
-// in one vector pass: D, diag and H = max(diag, D) per lane, the insertion
-// chain I as a max-plus prefix scan over H, S = max(H, I), the viability
-// mask, and the row's best cell and viable bounds. The exactness argument
-// sits beside the template body (row_precompute_impl.hpp); the caller is
+// The whole core span of one conservative-mode y-drop row in one vector
+// pass: D, diag and H = max(diag, D) per lane, the insertion chain I as a
+// max-plus prefix scan over H, S = max(H, I), the viability mask, the row's
+// best cell and viable bounds and, when `codes` is set, the packed
+// traceback code of every span column. The exactness arguments sit beside
+// the template body (row_precompute_impl.hpp); the caller is
 // advance_row_scan (ydrop_row_core.hpp).
 
 // Slack, in scores, that every buffer the scan reads or writes must have
@@ -88,6 +89,10 @@ struct RowScanArgs {
   // for count rounded up to the lane count.
   Score* s_out = nullptr;
   Score* d_out = nullptr;
+  // Packed TraceCode per span column (traceback.hpp), or null for a
+  // score-only row. Written for count rounded up to the lane count; equal
+  // to the scalar row's codes wherever a traceback walk can read them.
+  std::uint8_t* codes = nullptr;
 };
 
 struct RowScanResult {

@@ -1,11 +1,12 @@
-// Template bodies of the row-precompute primitives and the score-only row
-// scan, instantiated once per ISA translation unit
-// (row_precompute_sse2/avx2/neon.cpp) — never include from baseline code.
+// Template bodies of the row-precompute primitives and the row scan,
+// instantiated once per ISA translation unit (row_precompute_sse2/avx2/
+// neon.cpp) — never include from baseline code.
 #pragma once
 
 #include <bit>
 
 #include "align/row_precompute.hpp"
+#include "align/traceback.hpp"
 #include "util/simd_vec.hpp"
 
 namespace fastz::detail {
@@ -53,7 +54,7 @@ void row_precompute_vec(const Score* s_up, const Score* s_diag, const Score* gd_
   }
 }
 
-// Score-only row scan (see RowScanArgs). Per column q of the span, with
+// Row scan (see RowScanArgs). Per column q of the span, with
 // e = extend_only and oe = open_extend:
 //
 //   D[q] = max(add(gd_up[q], e), add(s_up[q], oe))      (phase A's D)
@@ -79,10 +80,30 @@ void row_precompute_vec(const Score* s_up, const Score* s_diag, const Score* gd_
 // cell, the row bounds and the cell count are identical to the scalar
 // sweep. Only I itself may differ, and the next row reads S and D alone.
 //
+// Traced rows. With `codes` set, each column also gets the scalar row's
+// packed code: the S source from diag/I/D compares in the scalar tie order
+// (diag > I > D), d_opened = add(s_up, oe) >= add(gd_up, e) from the
+// previous row, and i_opened = add(S[q-1], oe) >= add(I[q-1], e) from the
+// shifted S and I (S, not H: with gap_open == 0 a tie between opening from
+// an I-won S and extending I must read as opened, as in the scalar row).
+// The codes equal the scalar codes wherever a traceback walk reads them.
+// A walk reads only viable cells: an S-state cell stores its S, which a
+// pruned cell holds as -inf; an I- or D-state cell satisfies S >= I >= T
+// or S >= D >= T, since a gap chain only decreases on its way to a viable
+// exit (and T never falls from one row to the next). At a viable cell the
+// S source and d_opened are exact: D and diag come from the identical
+// previous row, and an I that differs is below T <= max(diag, D), so it
+// wins in neither sweep. The i_opened bit is read only in the I state, so
+// only where I[q] >= T, and there it is exact: if I[q] = I[q-1] + e, then
+// I[q-1] >= T and S[q-1] >= T are exact; otherwise I[q] = S[q-1] + oe puts
+// S[q-1] above T, and both sweeps' I[q-1] + e fall short of it. Where
+// I[q] < T the bit may differ — the scalar sweep opened from a reset chain
+// — and no walk reads it. Pruned cells' codes are unspecified.
+//
 // Values below -inf never wrap: the carried I is clamped at -inf, so a
 // long pruned run cannot drift, and a clamped value is still below T.
-template <class V>
-RowScanResult row_scan_vec(const RowScanArgs& a) {
+template <class V, bool kTraced>
+RowScanResult row_scan_span(const RowScanArgs& a) {
   constexpr int W = V::kLanes;
   // Locals, so the stores through s_out / d_out cannot alias the arguments.
   const Score* const s_up = a.s_up;
@@ -91,6 +112,7 @@ RowScanResult row_scan_vec(const RowScanArgs& a) {
   const Score* const prof = a.prof;
   Score* const s_out = a.s_out;
   Score* const d_out = a.d_out;
+  std::uint8_t* const codes = a.codes;
   const std::size_t count = a.count;
   const Score e = a.extend_only;
 
@@ -105,6 +127,11 @@ RowScanResult row_scan_vec(const RowScanArgs& a) {
   const V vdecay = V::load(lanes);  // (lane + 1) * e: carried-I decay
   for (int l = 0; l < W; ++l) lanes[l] = l;
   const V vlane = V::load(lanes);
+  // Code bits (traceback.hpp): S source I = 1, D = 2; i_opened 4, d_opened 8.
+  const V vsrc_i = V::broadcast(kTraceSrcI);
+  const V vsrc_d = V::broadcast(kTraceSrcD);
+  const V vi_open = V::broadcast(make_trace(0, true, false));
+  const V vd_open = V::broadcast(make_trace(0, false, true));
 
   // Max-plus prefix over the lanes of g: log2(W) shift-and-max steps.
   const auto lane_scan = [&](V x) {
@@ -115,20 +142,34 @@ RowScanResult row_scan_vec(const RowScanArgs& a) {
   };
 
   V h_carry = V::broadcast(a.left_s);  // stands in for H one column left
+  V s_carry = h_carry;                 // S one column left (traced rows)
   V i_carry = vneg;
   V row_max = vneg;
   V i_vec = vneg;
   const auto step = [&](std::size_t k, V live) {
-    const V d = V::max(simd::add_score_vec(V::load(gd_up + k), vext, vneg),
-                       simd::add_score_vec(V::load(s_up + k), voe, vneg));
+    const V d_ext = simd::add_score_vec(V::load(gd_up + k), vext, vneg);
+    const V d_open = simd::add_score_vec(V::load(s_up + k), voe, vneg);
+    const V d = V::max(d_ext, d_open);
     const V diag = simd::add_score_vec(V::load(s_diag + k), V::load(prof + k), vneg);
     const V h = V::max(diag, d);
     const V g = V::template shift_up<1>(h, h_carry) + voe;
+    const V i_left = i_carry;
     i_vec = V::max(lane_scan(g), i_carry + vdecay);
     i_carry = V::max(V::broadcast_last(i_vec), vneg);
     h_carry = V::broadcast_last(h);
 
     const V s = V::max(h, i_vec);
+    if constexpr (kTraced) {
+      const V i_opened = V::cmpge(
+          simd::add_score_vec(V::template shift_up<1>(s, s_carry), voe, vneg),
+          simd::add_score_vec(V::template shift_up<1>(i_vec, i_left), vext, vneg));
+      s_carry = V::broadcast_last(s);
+      const V src_i = V::cmpgt(i_vec, diag);
+      const V src_d = V::cmpgt(d, V::max(diag, i_vec));
+      const V code = V::blend(src_d, vsrc_d, src_i & vsrc_i) | (i_opened & vi_open) |
+                     (V::cmpge(d_open, d_ext) & vd_open);
+      code.store_u8(codes + k);
+    }
     const V viable = V::cmpgt(s, vfloor) & live;
     const V s_masked = V::blend(viable, s, vneg);
     s_masked.store(s_out + k);
@@ -179,6 +220,12 @@ RowScanResult row_scan_vec(const RowScanArgs& a) {
     r.exit_i = tmp[(count - 1) % W];
   }
   return r;
+}
+
+// The row scan for one ISA: traced when the caller passes a code buffer.
+template <class V>
+RowScanResult row_scan_vec(const RowScanArgs& a) {
+  return a.codes != nullptr ? row_scan_span<V, true>(a) : row_scan_span<V, false>(a);
 }
 
 }  // namespace fastz::detail

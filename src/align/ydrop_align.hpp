@@ -55,7 +55,10 @@ struct OneSidedOptions {
   bool record_row_bounds = false;
   // Trace from this cell instead of the best cell (executor use: the
   // inspector has already fixed the optimal cell; tracing from it keeps
-  // inspector and executor consistent by construction). {i, j}.
+  // inspector and executor consistent by construction). {i, j}. The ops
+  // are ISA-independent when the cell is viable in this sweep, as that
+  // optimum is: the vector row scan's codes match the scalar row's only
+  // on cells a walk from a viable cell can reach.
   bool trace_from_fixed = false;
   std::uint32_t trace_i = 0;
   std::uint32_t trace_j = 0;

@@ -16,7 +16,11 @@
 // (<= block_rows + 1 rows x the widest viable window = O(n + m)), plus one
 // score-row checkpoint per live recursion level (O(log(rows)) of them).
 // Compute: replaying from -> mid at every level costs about
-// L/2 * log2(L/block_rows) + L extra row-sweeps over a span of L rows.
+// L/2 * log2(L/block_rows) + L extra row-sweeps over a span of L rows. Every
+// row — plan, replay to mid, base block — goes through the full-trace
+// path's sweep_row, so on a vector ISA a conservative sweep runs all of
+// them as the vector row scan: score-only for the plan and the replays to
+// mid (the bulk of the cells), traced for the base blocks.
 
 #include <algorithm>
 #include <cstdint>
@@ -37,7 +41,7 @@ using detail::ScoreRow;
 using detail::TraceRow;
 
 // A resumable position in the row sweep: the completed row's scores plus the
-// best cell at that point. advance_row from this state reproduces the
+// best cell at that point. sweep_row from this state reproduces the
 // original sweep exactly (either prune mode).
 struct Checkpoint {
   std::uint32_t row = 0;
@@ -49,16 +53,19 @@ std::uint64_t row_state_bytes(const ScoreRow& row) {
   return std::uint64_t{row.width} * 3 * sizeof(Score);
 }
 
-// Deep copy trimmed to the viable width, so checkpoint memory tracks the
-// actual window rather than scratch-buffer capacity.
+// Deep copy of the row's width, into buffers that keep the kRowScanPad
+// slack the row scan writes its sentinel into. A checkpoint's buffers are
+// sized to its width (plus the pad), not to the scratch rows' capacity;
+// row_state_bytes counts the width alone.
 void copy_row(const ScoreRow& src, ScoreRow& dst) {
   dst.lo = src.lo;
   dst.width = src.width;
   dst.first = src.first;
   dst.last = src.last;
-  dst.s.assign(src.s.begin(), src.s.begin() + src.width);
-  dst.gi.assign(src.gi.begin(), src.gi.begin() + src.width);
-  dst.gd.assign(src.gd.begin(), src.gd.begin() + src.width);
+  dst.ensure_capacity(src.width);
+  std::copy_n(src.s.begin(), src.width, dst.s.begin());
+  std::copy_n(src.gi.begin(), src.width, dst.gi.begin());
+  std::copy_n(src.gd.begin(), src.width, dst.gd.begin());
 }
 
 struct Accounting {
@@ -162,7 +169,7 @@ void replay(const RowContext& ctx, const Checkpoint& from, std::uint32_t target,
   best = from.best;
   for (std::uint32_t row = from.row + 1; row <= target; ++row) {
     TraceRow* trow = rows != nullptr ? &(*rows)[row - from.row - 1] : nullptr;
-    const RowOutcome o = detail::advance_row(ctx, row, prev, cur, best, trow);
+    const RowOutcome o = detail::sweep_row(ctx, row, prev, cur, best, trow);
     acct.replay_cells += o.cells;
     if (!o.any_viable) {
       // Impossible when target <= rows_explored of the plan sweep; kept as a
@@ -257,7 +264,7 @@ OneSidedResult ydrop_linear_traceback(SeqView a, SeqView b, const ScoreParams& p
 
   // ---- Plan sweep: the normal forward DP, scores only. --------------------
   // Metrics (best, cells, bounds, widths) are identical to the full-trace
-  // path because both run the same advance_row over the same states.
+  // path because both run the same sweep_row over the same states.
   ScoreRow prev;
   ScoreRow cur;
   const std::uint32_t w0 = detail::init_row0(ctx, prev, nullptr);
@@ -272,7 +279,7 @@ OneSidedResult ydrop_linear_traceback(SeqView a, SeqView b, const ScoreParams& p
   tracer.acct.ckpt_add(row_state_bytes(ck0.state));
 
   for (std::uint32_t row = 1; row <= m; ++row) {
-    const RowOutcome o = detail::advance_row(ctx, row, prev, cur, result.best, nullptr);
+    const RowOutcome o = detail::sweep_row(ctx, row, prev, cur, result.best, nullptr);
     result.cells += o.cells;
     if (!o.any_viable) break;
     std::swap(prev, cur);

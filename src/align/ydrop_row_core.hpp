@@ -5,7 +5,15 @@
 // rows with EXACTLY the same arithmetic, pruning, and packed traceback
 // codes: the linear path replays rows from checkpoints, and its output is
 // required to be bit-identical to the full path at every split point. One
-// shared row body makes that equivalence structural instead of aspirational.
+// shared row step (sweep_row) makes that equivalence structural instead of
+// aspirational.
+//
+// sweep_row has two bodies. Conservative rows on a vector ISA — the
+// inspector's score-only rows and the executor's, dense or Hirschberg,
+// traced or not — run advance_row_scan, one vector pass over the row
+// (row_precompute_impl.hpp). Sequential-prune rows (LASTZ) and every row
+// under the forced-scalar ISA run the scalar advance_row, whose serial S/I
+// chain is the reference the scan is proven and tested against.
 //
 // Internal header — everything here is an implementation detail of the two
 // drivers in src/align; nothing outside `fastz::detail` should include it.
@@ -77,8 +85,8 @@ constexpr TraceCode row0_code(std::uint32_t j) noexcept {
 inline constexpr std::uint32_t kRowSimdMinSpan = 8;
 
 // Mutable SIMD scratch owned by the row sweep. The fn pointers are resolved
-// once per sweep from the active ISA (`scan` only for a score-only
-// conservative sweep); the score profile
+// once per sweep from the active ISA (`scan` only for a conservative
+// sweep); the score profile
 // (profile[c][j] == subst[c][b[j]]) is built lazily up to a column
 // watermark with amortized doubling so short extensions never pay for the
 // full sequence. All buffers are reused across rows and die with the sweep.
@@ -124,6 +132,7 @@ inline RowContext make_row_context(SeqView a, SeqView b, const ScoreParams& para
   ctx.open_extend = params.gap_open + params.gap_extend;
   ctx.extend_only = params.gap_extend;
   ctx.simd.fn = row_precompute_fn(simd::active_isa());
+  if (!sequential) ctx.simd.scan = row_scan_fn(simd::active_isa());
   return ctx;
 }
 
@@ -393,24 +402,27 @@ inline RowOutcome advance_row(const RowContext& ctx, std::uint32_t row, ScoreRow
   return outcome;
 }
 
-// Score-only conservative row: the same outcome, best cell and stored S/D
-// as advance_row(ctx, row, prev, cur, best, nullptr) with
-// ctx.sequential == false, and the same cell count. Every cell with a
-// diagonal neighbour in the previous row — columns up to prev_hi, the last
-// through a -inf sentinel written one past `prev` — goes through
-// ctx.simd.scan in one branch-free vector pass (exactness argument:
-// row_precompute_impl.hpp). What stays scalar has at most one source: the
-// column-0 border and the first cell (D only), and the insertion run past
-// prev_hi (I only). Requires ctx.simd.scan.
+// Conservative row on a vector ISA: the same outcome, best cell, stored S/D
+// and cell count as advance_row(ctx, row, prev, cur, best, trow) with
+// ctx.sequential == false, and, when `trow` is non-null, the same packed
+// codes at every cell a traceback walk can read (row_precompute_impl.hpp).
+// Every cell with a diagonal neighbour in the previous row — columns up to
+// prev_hi, the last through a -inf sentinel written one past `prev` — goes
+// through ctx.simd.scan in one branch-free vector pass. What stays scalar
+// has at most one source: the column-0 border and the first cell (D only),
+// and the insertion run past prev_hi (I only); those cells write their
+// codes exactly as advance_row does. `prev` needs kRowScanPad slack past its
+// width. Requires ctx.simd.scan.
 inline RowOutcome advance_row_scan(const RowContext& ctx, std::uint32_t row,
-                                   ScoreRow& prev, ScoreRow& cur, BestCell& best) {
+                                   ScoreRow& prev, ScoreRow& cur, BestCell& best,
+                                   TraceRow* trow) {
   const std::uint32_t prev_lo = prev.lo;
   const std::uint32_t prev_hi = prev_lo + prev.width;
   const std::uint32_t start_lo = prev.first;
   const std::uint32_t j_cap = std::min(ctx.n, prev_hi + ctx.max_right_run);
   const std::uint32_t span_lo = std::max(std::max(start_lo, 1u), prev_lo + 1);
   const std::uint32_t span_hi = std::min(j_cap, prev_hi);  // inclusive
-  if (span_lo > span_hi) return advance_row(ctx, row, prev, cur, best, nullptr);
+  if (span_lo > span_hi) return advance_row(ctx, row, prev, cur, best, trow);
 
   const ScoreParams& params = *ctx.params;
   cur.ensure_capacity(std::size_t{j_cap} - start_lo + 2);
@@ -421,6 +433,12 @@ inline RowOutcome advance_row_scan(const RowContext& ctx, std::uint32_t row,
   Score* const cd = cur.gd.data();
   Score* const ps = prev.s.data();
   Score* const pd = prev.gd.data();
+  TraceCode* tc = nullptr;
+  if (trow != nullptr) {
+    trow->lo = start_lo;
+    trow->codes.resize(std::size_t{j_cap} - start_lo + 2 + kRowScanPad);
+    tc = trow->codes.data();
+  }
 
   bool any_viable = false;
   std::uint32_t first_viable = 0;
@@ -434,9 +452,10 @@ inline RowOutcome advance_row_scan(const RowContext& ctx, std::uint32_t row,
   };
   // Stores one scalar cell whose S is its single candidate `v`.
   const auto edge_cell = [&](std::uint32_t j, std::uint32_t out, Score v, bool viable,
-                             Score d_val) {
+                             Score d_val, TraceCode code) {
     cs[out] = viable ? v : kNegativeInfinity;
     cd[out] = viable ? d_val : kNegativeInfinity;
+    if (tc != nullptr) tc[out] = code;
     if (viable) {
       row_best.consider(v, row, j);
       mark_viable(j, j);
@@ -446,18 +465,23 @@ inline RowOutcome advance_row_scan(const RowContext& ctx, std::uint32_t row,
   std::uint32_t out = 0;
   if (start_lo == 0) {  // column 0 border, as in advance_row
     const Score d_val = params.gap_open + static_cast<Score>(row) * params.gap_extend;
-    edge_cell(0, 0, d_val, d_val >= cutoff, d_val);
+    edge_cell(0, 0, d_val, d_val >= cutoff, d_val, make_trace(kTraceSrcD, false, row == 1));
     out = 1;
   } else if (start_lo == prev_lo) {  // no diagonal and no left neighbour
-    const Score d_val = std::max(add_score(pd[0], ctx.extend_only),
-                                 add_score(ps[0], ctx.open_extend));
-    edge_cell(start_lo, 0, d_val, d_val > kNegativeInfinity && d_val >= cutoff, d_val);
+    const Score d_ext = add_score(pd[0], ctx.extend_only);
+    const Score d_open = add_score(ps[0], ctx.open_extend);
+    const Score d_val = std::max(d_ext, d_open);
+    const bool reached = d_val > kNegativeInfinity;
+    edge_cell(start_lo, 0, d_val, reached && d_val >= cutoff, d_val,
+              make_trace(reached ? kTraceSrcD : kTraceSrcDiag, true, d_open >= d_ext));
     out = 1;
   }
 
   grow_profile(ctx, span_hi);
-  ps[prev.width] = kNegativeInfinity;  // column prev_hi has no up cell
-  pd[prev.width] = kNegativeInfinity;
+  // Column prev_hi has no up cell. Indexed through the vectors, so a row
+  // stored without its kRowScanPad slack trips _GLIBCXX_ASSERTIONS.
+  prev.s[prev.width] = kNegativeInfinity;
+  prev.gd[prev.width] = kNegativeInfinity;
   const BaseCode a_base = ctx.a[row - 1];
   RowScanArgs args;
   args.s_up = ps + (span_lo - prev_lo);
@@ -472,6 +496,7 @@ inline RowOutcome advance_row_scan(const RowContext& ctx, std::uint32_t row,
       std::int64_t{cutoff} - 1, std::int64_t{kNegativeInfinity}));
   args.s_out = cs + out;
   args.d_out = cd + out;
+  args.codes = tc != nullptr ? tc + out : nullptr;
   const RowScanResult span = ctx.simd.scan(args);
   if (span.first < args.count) {
     mark_viable(span_lo + static_cast<std::uint32_t>(span.first),
@@ -486,10 +511,13 @@ inline RowOutcome advance_row_scan(const RowContext& ctx, std::uint32_t row,
   Score left_i = span.exit_i;
   for (std::uint32_t j = span_hi + 1; j <= j_cap && left_s > kNegativeInfinity;
        ++j, ++out) {
-    const Score i_val = std::max(add_score(left_i, ctx.extend_only),
-                                 add_score(left_s, ctx.open_extend));
-    const bool viable = i_val > kNegativeInfinity && i_val >= cutoff;
-    edge_cell(j, out, i_val, viable, kNegativeInfinity);
+    const Score i_ext = add_score(left_i, ctx.extend_only);
+    const Score i_open = add_score(left_s, ctx.open_extend);
+    const Score i_val = std::max(i_ext, i_open);
+    const bool reached = i_val > kNegativeInfinity;
+    const bool viable = reached && i_val >= cutoff;
+    edge_cell(j, out, i_val, viable, kNegativeInfinity,
+              make_trace(reached ? kTraceSrcI : kTraceSrcDiag, i_open >= i_ext, true));
     left_s = cs[out];
     left_i = viable ? i_val : kNegativeInfinity;
   }
@@ -498,6 +526,7 @@ inline RowOutcome advance_row_scan(const RowContext& ctx, std::uint32_t row,
   cur.width = out;
   cur.first = first_viable;
   cur.last = last_viable;
+  if (trow != nullptr) trow->codes.resize(out);
 
   RowOutcome outcome;
   outcome.any_viable = any_viable;
@@ -505,6 +534,14 @@ inline RowOutcome advance_row_scan(const RowContext& ctx, std::uint32_t row,
   outcome.last_viable = last_viable;
   outcome.cells = out;  // every computed cell, the one that ends the row included
   return outcome;
+}
+
+// One row of either driver: the vector row scan when the context has one
+// (conservative prune on a vector ISA), else the scalar advance_row.
+inline RowOutcome sweep_row(const RowContext& ctx, std::uint32_t row, ScoreRow& prev,
+                            ScoreRow& cur, BestCell& best, TraceRow* trow) {
+  return ctx.simd.scan != nullptr ? advance_row_scan(ctx, row, prev, cur, best, trow)
+                                  : advance_row(ctx, row, prev, cur, best, trow);
 }
 
 }  // namespace fastz::detail

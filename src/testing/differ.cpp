@@ -150,66 +150,105 @@ bool same_row_bounds(const std::vector<RowBounds>& x, const std::vector<RowBound
                     });
 }
 
+std::string census_of(const OneSidedResult& r) {
+  std::ostringstream os;
+  os << "cells " << r.cells << ", rows " << r.rows_explored << ", width "
+     << r.max_row_width << ", truncated " << r.truncated;
+  return os.str();
+}
+
+std::string census_of(const LinearTracebackStats& s) {
+  std::ostringstream os;
+  os << "plan " << s.plan_cells << ", replay " << s.replay_cells << ", traced "
+     << s.trace_cells << ", peak trace " << s.peak_trace_bytes << " B, peak checkpoint "
+     << s.peak_checkpoint_bytes << " B, splits " << s.splits << ", blocks "
+     << s.base_blocks << ", block rows " << s.block_rows;
+  return os.str();
+}
+
+// One sweep under a vector ISA against the forced-scalar sweep: best cell,
+// census, row bounds and ops.
+void expect_same_sweep(DiffResult& out, const FuzzCase& c, const std::string& what,
+                       const OneSidedResult& got, const OneSidedResult& want) {
+  out.expect(got.best.score == want.best.score && got.best.i == want.best.i &&
+                 got.best.j == want.best.j,
+             tag(c, what + " best " + cell_str(got.best) + " != scalar " +
+                        cell_str(want.best)));
+  out.expect(census_of(got) == census_of(want),
+             tag(c, what + " census (" + census_of(got) + ") != scalar (" +
+                        census_of(want) + ")"));
+  out.expect(same_row_bounds(got.row_bounds, want.row_bounds),
+             tag(c, what + " row bounds != scalar"));
+  out.expect(got.ops == want.ops, tag(c, what + " cigar " + cigar_of(got.ops) +
+                                             " != scalar " + cigar_of(want.ops)));
+}
+
 // ---- y-drop SIMD-vs-scalar, on every kind and at every size: each vector
 // ISA available on this host must reproduce the forced-scalar sweep under
-// two option sets. The default (sequential, traceback) runs the phase-A
-// precompute under the scalar rows: best cell, cells and the walked ops
-// must match. The inspector's (conservative, no traceback, row bounds) runs
-// the score-only vector row scan: best cell, cells, rows, widest row, the
-// truncation flag and every row's viable bounds must match. The long kinds
-// are where the scan's carries and pruned runs get long.
+// three option sets. The default (sequential, traceback) runs the phase-A
+// precompute under the scalar rows. The inspector's (conservative, no
+// traceback, row bounds) runs the score-only vector row scan. The
+// executor's (conservative, traced from the inspector's optimum, trimmed to
+// it, row bounds) runs the traced scan, through the dense path and the
+// Hirschberg path, whose block height of 4 makes every case bisect so the
+// plan, replay and base-block rows all run. Best cell, census, row bounds,
+// ops and every linear-path stat must match. The long kinds are where the
+// scan's carries and pruned runs get long.
 void diff_ydrop_simd_vs_scalar(DiffResult& out, const FuzzCase& c) {
-  OneSidedOptions inspect;
-  inspect.prune = PruneMode::kConservative;
-  inspect.want_traceback = false;
-  inspect.record_row_bounds = true;
+  // An exception is itself a divergence: no sweep may throw on valid inputs.
+  try {
+    OneSidedOptions inspect;
+    inspect.prune = PruneMode::kConservative;
+    inspect.want_traceback = false;
+    inspect.record_row_bounds = true;
 
-  OneSidedResult ydrop_scalar;
-  OneSidedResult inspect_scalar;
-  {
-    simd::ScopedIsa force(simd::Isa::kScalar);
-    ydrop_scalar = ydrop_one_sided_align(c.a.codes(), c.b.codes(), c.params);
-    inspect_scalar = ydrop_one_sided_align(c.a.codes(), c.b.codes(), c.params, inspect);
-  }
+    OneSidedOptions execute;
+    execute.prune = PruneMode::kConservative;
+    execute.record_row_bounds = true;
+    execute.trace_from_fixed = true;
+    execute.hirschberg_block_rows = 4;
 
-  for (const simd::Isa isa : simd::available_isas()) {
-    if (isa == simd::Isa::kScalar) continue;
-    simd::ScopedIsa force(isa);
-    const std::string who = std::string("[") + simd::isa_name(isa) + "] ";
+    OneSidedResult ydrop_scalar;
+    OneSidedResult inspect_scalar;
+    OneSidedResult dense_scalar;
+    OneSidedResult linear_scalar;
+    LinearTracebackStats linear_scalar_stats;
+    {
+      simd::ScopedIsa force(simd::Isa::kScalar);
+      ydrop_scalar = ydrop_one_sided_align(c.a.codes(), c.b.codes(), c.params);
+      inspect_scalar = ydrop_one_sided_align(c.a.codes(), c.b.codes(), c.params, inspect);
+      execute.trace_i = execute.max_rows = inspect_scalar.best.i;
+      execute.trace_j = execute.max_cols = inspect_scalar.best.j;
+      dense_scalar = ydrop_one_sided_align(c.a.codes(), c.b.codes(), c.params, execute);
+      linear_scalar = ydrop_linear_traceback(c.a.codes(), c.b.codes(), c.params, execute,
+                                             &linear_scalar_stats);
+    }
 
-    const OneSidedResult ydrop =
-        ydrop_one_sided_align(c.a.codes(), c.b.codes(), c.params);
-    out.expect(ydrop.best.score == ydrop_scalar.best.score &&
-                   ydrop.best.i == ydrop_scalar.best.i &&
-                   ydrop.best.j == ydrop_scalar.best.j,
-               tag(c, who + "y-drop best " + cell_str(ydrop.best) + " != scalar " +
-                          cell_str(ydrop_scalar.best)));
-    out.expect(ydrop.cells == ydrop_scalar.cells,
-               tag(c, who + "y-drop explored " + std::to_string(ydrop.cells) +
-                          " cells != scalar " + std::to_string(ydrop_scalar.cells)));
-    out.expect(ydrop.ops == ydrop_scalar.ops,
-               tag(c, who + "y-drop cigar " + cigar_of(ydrop.ops) + " != scalar " +
-                          cigar_of(ydrop_scalar.ops)));
+    for (const simd::Isa isa : simd::available_isas()) {
+      if (isa == simd::Isa::kScalar) continue;
+      simd::ScopedIsa force(isa);
+      const std::string who = std::string("[") + simd::isa_name(isa) + "] ";
 
-    const OneSidedResult insp =
-        ydrop_one_sided_align(c.a.codes(), c.b.codes(), c.params, inspect);
-    out.expect(insp.best.score == inspect_scalar.best.score &&
-                   insp.best.i == inspect_scalar.best.i &&
-                   insp.best.j == inspect_scalar.best.j,
-               tag(c, who + "inspector y-drop best " + cell_str(insp.best) +
-                          " != scalar " + cell_str(inspect_scalar.best)));
-    out.expect(insp.cells == inspect_scalar.cells &&
-                   insp.rows_explored == inspect_scalar.rows_explored &&
-                   insp.max_row_width == inspect_scalar.max_row_width &&
-                   insp.truncated == inspect_scalar.truncated,
-               tag(c, who + "inspector y-drop census (cells " + std::to_string(insp.cells) +
-                          ", rows " + std::to_string(insp.rows_explored) + ", width " +
-                          std::to_string(insp.max_row_width) + ") != scalar (" +
-                          std::to_string(inspect_scalar.cells) + ", " +
-                          std::to_string(inspect_scalar.rows_explored) + ", " +
-                          std::to_string(inspect_scalar.max_row_width) + ")"));
-    out.expect(same_row_bounds(insp.row_bounds, inspect_scalar.row_bounds),
-               tag(c, who + "inspector y-drop row bounds != scalar"));
+      expect_same_sweep(out, c, who + "y-drop",
+                        ydrop_one_sided_align(c.a.codes(), c.b.codes(), c.params),
+                        ydrop_scalar);
+      expect_same_sweep(out, c, who + "inspector y-drop",
+                        ydrop_one_sided_align(c.a.codes(), c.b.codes(), c.params, inspect),
+                        inspect_scalar);
+      expect_same_sweep(out, c, who + "dense executor y-drop",
+                        ydrop_one_sided_align(c.a.codes(), c.b.codes(), c.params, execute),
+                        dense_scalar);
+      LinearTracebackStats stats;
+      expect_same_sweep(
+          out, c, who + "hirschberg executor y-drop",
+          ydrop_linear_traceback(c.a.codes(), c.b.codes(), c.params, execute, &stats),
+          linear_scalar);
+      out.expect(census_of(stats) == census_of(linear_scalar_stats),
+                 tag(c, who + "hirschberg executor stats (" + census_of(stats) +
+                            ") != scalar (" + census_of(linear_scalar_stats) + ")"));
+    }
+  } catch (const std::exception& e) {
+    out.expect(false, tag(c, std::string("y-drop SIMD-vs-scalar sweep threw: ") + e.what()));
   }
 }
 

@@ -2,8 +2,8 @@
 //
 // Each struct wraps one native register width with the operations the DP
 // recurrences need (add / max / compares / blend / movemask / byte
-// widening, and the lane shift + last-lane broadcast of a prefix scan).
-// The wrappers are defined only when the including translation
+// widening and narrowing, and the lane shift + last-lane broadcast of a
+// prefix scan). The wrappers are defined only when the including translation
 // unit is compiled for the matching ISA (`__SSE2__` / `__AVX2__` /
 // `__ARM_NEON`): the per-ISA kernel TUs get their flags from CMake
 // (e.g. `-mavx2` on strip_kernel_avx2.cpp), so a template kernel
@@ -50,6 +50,13 @@ struct VecSse2 {
     const __m128i bytes = _mm_cvtsi32_si128(static_cast<int>(bits));
     const __m128i zero = _mm_setzero_si128();
     return {_mm_unpacklo_epi16(_mm_unpacklo_epi8(bytes, zero), zero)};
+  }
+
+  // Narrows each lane (0..255) to a byte and stores the kLanes bytes.
+  void store_u8(std::uint8_t* p) const noexcept {
+    const __m128i words = _mm_packs_epi32(v, v);
+    const int bits = _mm_cvtsi128_si32(_mm_packus_epi16(words, words));
+    std::memcpy(p, &bits, sizeof(bits));
   }
 
   friend VecSse2 operator+(VecSse2 a, VecSse2 b) noexcept {
@@ -120,6 +127,12 @@ struct VecAvx2 {
         _mm_loadl_epi64(reinterpret_cast<const __m128i*>(p)))};
   }
 
+  void store_u8(std::uint8_t* p) const noexcept {
+    const __m128i words =
+        _mm_packs_epi32(_mm256_castsi256_si128(v), _mm256_extracti128_si256(v, 1));
+    _mm_storel_epi64(reinterpret_cast<__m128i*>(p), _mm_packus_epi16(words, words));
+  }
+
   friend VecAvx2 operator+(VecAvx2 a, VecAvx2 b) noexcept {
     return {_mm256_add_epi32(a.v, b.v)};
   }
@@ -188,6 +201,13 @@ struct VecNeon {
     const uint8x8_t bytes = vreinterpret_u8_u32(vdup_n_u32(bits));
     const uint16x4_t half = vget_low_u16(vmovl_u8(bytes));
     return {vreinterpretq_s32_u32(vmovl_u16(half))};
+  }
+
+  void store_u8(std::uint8_t* p) const noexcept {
+    const int16x4_t words = vmovn_s32(v);
+    const uint8x8_t bytes = vqmovun_s16(vcombine_s16(words, words));
+    const std::uint32_t bits = vget_lane_u32(vreinterpret_u32_u8(bytes), 0);
+    std::memcpy(p, &bits, sizeof(bits));
   }
 
   friend VecNeon operator+(VecNeon a, VecNeon b) noexcept {

@@ -1,9 +1,11 @@
-// The score-only vector row scan (advance_row_scan) against the scalar
-// advance_row, one synthetic row at a time, under every available vector
-// ISA. Each case builds a previous row by hand — runs of -inf, cells below
-// the cutoff inside viable runs, rows touching column 0, a max_cols clamp —
-// and requires the outcome, the best cell and the stored S/D planes to be
-// identical.
+// The vector row scan (advance_row_scan), score-only and traced, against
+// the scalar advance_row, one synthetic row at a time, under every
+// available vector ISA. Each case builds a previous row by hand — runs of
+// -inf, cells below the cutoff inside viable runs, rows touching column 0,
+// a max_cols clamp — and requires the outcome, the best cell and the stored
+// S/D planes to be identical, and the packed codes to agree wherever a
+// traceback walk can read them. Whole sweeps (inspector, dense executor,
+// Hirschberg with small blocks) must match the forced-scalar sweep.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -101,8 +103,12 @@ struct RowCase {
   ScoreRow prev;
 };
 
+// Runs the row both ways; with `traced`, both rows also record codes. The
+// codes must agree at every viable cell in the S source and d_opened, and
+// in i_opened wherever the cell's I is viable too — every bit a walk can
+// read (row_precompute_impl.hpp). Elsewhere they are unspecified.
 void expect_scan_matches_scalar(const RowCase& rc, const Sequence& a, const Sequence& b,
-                                simd::Isa isa, const std::string& label) {
+                                simd::Isa isa, bool traced, const std::string& label) {
   const SeqView av(a.codes().data(), 1, a.size());
   const SeqView bv(b.codes().data(), 1, b.size());
   ScoreRow prev = rc.prev;
@@ -110,19 +116,23 @@ void expect_scan_matches_scalar(const RowCase& rc, const Sequence& a, const Sequ
   ScoreRow want_row;
   BestCell want_best = rc.best;
   RowOutcome want;
+  detail::TraceRow want_codes;
   {
     simd::ScopedIsa force(simd::Isa::kScalar);
     const detail::RowContext ctx = detail::make_row_context(av, bv, rc.params, rc.n, false);
-    want = detail::advance_row(ctx, rc.row, prev, want_row, want_best, nullptr);
+    ASSERT_EQ(ctx.simd.scan, nullptr) << label;
+    want = detail::advance_row(ctx, rc.row, prev, want_row, want_best,
+                               traced ? &want_codes : nullptr);
   }
 
   simd::ScopedIsa force(isa);
   const detail::RowContext ctx = detail::make_row_context(av, bv, rc.params, rc.n, false);
-  ctx.simd.scan = detail::row_scan_fn(isa);
   ASSERT_NE(ctx.simd.scan, nullptr) << label;
   ScoreRow got_row;
   BestCell got_best = rc.best;
-  const RowOutcome got = detail::advance_row_scan(ctx, rc.row, prev, got_row, got_best);
+  detail::TraceRow got_codes;
+  const RowOutcome got = detail::advance_row_scan(ctx, rc.row, prev, got_row, got_best,
+                                                  traced ? &got_codes : nullptr);
 
   ASSERT_EQ(got.any_viable, want.any_viable) << label;
   EXPECT_EQ(got.cells, want.cells) << label;
@@ -140,6 +150,21 @@ void expect_scan_matches_scalar(const RowCase& rc, const Sequence& a, const Sequ
   for (std::uint32_t k = 0; k < want_row.width; ++k) {
     ASSERT_EQ(got_row.s[k], want_row.s[k]) << label << " S at column " << want_row.lo + k;
     ASSERT_EQ(got_row.gd[k], want_row.gd[k]) << label << " D at column " << want_row.lo + k;
+  }
+  if (!traced || !want.any_viable) return;
+  ASSERT_EQ(got_codes.lo, want_codes.lo) << label;
+  ASSERT_EQ(got_codes.codes.size(), want_codes.codes.size()) << label;
+  const Score cutoff = rc.best.score - rc.params.ydrop;
+  for (std::uint32_t k = 0; k < want_row.width; ++k) {
+    if (want_row.s[k] == kNegativeInfinity) continue;  // pruned: unspecified
+    const TraceCode g = got_codes.codes[k];
+    const TraceCode w = want_codes.codes[k];
+    const std::string at = label + " code at column " + std::to_string(want_row.lo + k);
+    ASSERT_EQ(trace_s_src(g), trace_s_src(w)) << at;
+    ASSERT_EQ(trace_d_open(g), trace_d_open(w)) << at;
+    if (want_row.gi[k] > kNegativeInfinity && want_row.gi[k] >= cutoff) {
+      ASSERT_EQ(trace_i_open(g), trace_i_open(w)) << at;
+    }
   }
 }
 
@@ -177,8 +202,11 @@ TEST(YdropScanRow, MatchesScalarRowAcrossWidthsShapesAndParams) {
                                         " fill=" + std::to_string(static_cast<int>(fill)) +
                                         " width=" + std::to_string(width) +
                                         " trial=" + std::to_string(trial);
-              expect_scan_matches_scalar(rc, a, b, isa, label);
-              if (HasFatalFailure()) return;
+              for (const bool traced : {false, true}) {
+                expect_scan_matches_scalar(rc, a, b, isa, traced,
+                                           label + (traced ? " traced" : ""));
+                if (HasFatalFailure()) return;
+              }
             }
           }
         }
@@ -213,8 +241,11 @@ TEST(YdropScanRow, ChainThroughAPrunedCellMatchesScalar) {
         if (k % 11 == 7) rc.prev.s[k] = cutoff - 1;
         rc.prev.gd[k] = kNegativeInfinity;
       }
-      expect_scan_matches_scalar(rc, a, b, isa,
-                                 std::string(simd::isa_name(isa)) + " " + np.name);
+      for (const bool traced : {false, true}) {
+        expect_scan_matches_scalar(rc, a, b, isa, traced,
+                                   std::string(simd::isa_name(isa)) + " " + np.name +
+                                       (traced ? " traced" : ""));
+      }
     }
   }
 }
@@ -254,6 +285,88 @@ TEST(YdropScanRow, InspectorSweepMatchesScalarSweep) {
         for (std::size_t r = 0; r < want.row_bounds.size(); ++r) {
           EXPECT_EQ(got.row_bounds[r].lo, want.row_bounds[r].lo) << label << " row " << r;
           EXPECT_EQ(got.row_bounds[r].hi, want.row_bounds[r].hi) << label << " row " << r;
+        }
+      }
+    }
+  }
+}
+
+void expect_same_sweep(const OneSidedResult& got, const OneSidedResult& want,
+                       const std::string& label) {
+  EXPECT_EQ(got.best.score, want.best.score) << label;
+  EXPECT_EQ(got.best.i, want.best.i) << label;
+  EXPECT_EQ(got.best.j, want.best.j) << label;
+  EXPECT_EQ(got.cells, want.cells) << label;
+  EXPECT_EQ(got.rows_explored, want.rows_explored) << label;
+  EXPECT_EQ(got.max_row_width, want.max_row_width) << label;
+  EXPECT_EQ(got.truncated, want.truncated) << label;
+  EXPECT_EQ(got.ops, want.ops) << label;
+  ASSERT_EQ(got.row_bounds.size(), want.row_bounds.size()) << label;
+  for (std::size_t r = 0; r < want.row_bounds.size(); ++r) {
+    EXPECT_EQ(got.row_bounds[r].lo, want.row_bounds[r].lo) << label << " row " << r;
+    EXPECT_EQ(got.row_bounds[r].hi, want.row_bounds[r].hi) << label << " row " << r;
+  }
+}
+
+// The executor's sweeps: conservative, traced from the inspector's optimum,
+// trimmed to its rectangle (and untrimmed), through the dense path and the
+// Hirschberg path at small block heights, so plan, replay and base-block
+// rows all run the scan. Ops, census and every linear-path stat must match
+// the forced-scalar sweep.
+TEST(YdropScanRow, ExecutorSweepsMatchScalarSweep) {
+  const std::vector<simd::Isa> isas = vector_isas();
+  if (isas.empty()) GTEST_SKIP() << "no vector ISA on this host";
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    auto [a, b] = testing::related_pair(300, 0.85, seed + 40);
+    for (const NamedParams& np : param_sets()) {
+      OneSidedOptions search;
+      search.prune = PruneMode::kConservative;
+      search.want_traceback = false;
+      const OneSidedResult found = ydrop_one_sided_align(a.codes(), b.codes(), np.params, search);
+      for (const bool trimmed : {true, false}) {
+        OneSidedOptions opts;
+        opts.prune = PruneMode::kConservative;
+        opts.record_row_bounds = true;
+        opts.trace_from_fixed = true;
+        opts.trace_i = found.best.i;
+        opts.trace_j = found.best.j;
+        if (trimmed) {
+          opts.max_rows = found.best.i;
+          opts.max_cols = found.best.j;
+        }
+        for (const std::uint32_t block_rows : {1u, 3u, 4u}) {
+          opts.hirschberg_block_rows = block_rows;
+          OneSidedResult want_dense;
+          OneSidedResult want_linear;
+          LinearTracebackStats want_stats;
+          {
+            simd::ScopedIsa force(simd::Isa::kScalar);
+            want_dense = ydrop_one_sided_align(a.codes(), b.codes(), np.params, opts);
+            want_linear =
+                ydrop_linear_traceback(a.codes(), b.codes(), np.params, opts, &want_stats);
+          }
+          for (const simd::Isa isa : isas) {
+            simd::ScopedIsa force(isa);
+            const std::string label = std::string(simd::isa_name(isa)) + " " + np.name +
+                                      " seed=" + std::to_string(seed) +
+                                      (trimmed ? " trimmed" : " untrimmed") +
+                                      " block_rows=" + std::to_string(block_rows);
+            expect_same_sweep(ydrop_one_sided_align(a.codes(), b.codes(), np.params, opts),
+                              want_dense, label + " dense");
+            LinearTracebackStats stats;
+            expect_same_sweep(
+                ydrop_linear_traceback(a.codes(), b.codes(), np.params, opts, &stats),
+                want_linear, label + " hirschberg");
+            EXPECT_EQ(stats.plan_cells, want_stats.plan_cells) << label;
+            EXPECT_EQ(stats.replay_cells, want_stats.replay_cells) << label;
+            EXPECT_EQ(stats.trace_cells, want_stats.trace_cells) << label;
+            EXPECT_EQ(stats.peak_trace_bytes, want_stats.peak_trace_bytes) << label;
+            EXPECT_EQ(stats.peak_checkpoint_bytes, want_stats.peak_checkpoint_bytes) << label;
+            EXPECT_EQ(stats.splits, want_stats.splits) << label;
+            EXPECT_EQ(stats.base_blocks, want_stats.base_blocks) << label;
+            EXPECT_EQ(stats.block_rows, want_stats.block_rows) << label;
+            if (HasFailure()) return;
+          }
         }
       }
     }
