@@ -42,8 +42,8 @@ using AlignedScores = std::vector<Score, util::AlignedAllocator<Score, 64>>;
 // kNegativeInfinity so downstream reads see them as unreachable — LASTZ's
 // hard-prune semantics. Buffers are reused across rows (the inner loop must
 // not allocate) and keep kRowScanPad slack for the row scan's full-width
-// final vector. The next row reads only `s` and `gd`; the score-only row
-// scan leaves `gi` unwritten.
+// final vector. The next row reads only `s` and `gd`; the row scan leaves
+// `gi` unwritten.
 struct ScoreRow {
   std::uint32_t lo = 0;
   std::uint32_t width = 0;
@@ -85,8 +85,9 @@ constexpr TraceCode row0_code(std::uint32_t j) noexcept {
 inline constexpr std::uint32_t kRowSimdMinSpan = 8;
 
 // Mutable SIMD scratch owned by the row sweep. The fn pointers are resolved
-// once per sweep from the active ISA (`scan` only for a conservative
-// sweep); the score profile
+// once per sweep from the active ISA (`fn`, the phase-A precompute of the
+// scalar row, for a sequential sweep; `scan` for a conservative one); the
+// score profile
 // (profile[c][j] == subst[c][b[j]]) is built lazily up to a column
 // watermark with amortized doubling so short extensions never pay for the
 // full sequence. All buffers are reused across rows and die with the sweep.
@@ -131,8 +132,11 @@ inline RowContext make_row_context(SeqView a, SeqView b, const ScoreParams& para
           : n + 1;
   ctx.open_extend = params.gap_open + params.gap_extend;
   ctx.extend_only = params.gap_extend;
-  ctx.simd.fn = row_precompute_fn(simd::active_isa());
-  if (!sequential) ctx.simd.scan = row_scan_fn(simd::active_isa());
+  if (sequential) {
+    ctx.simd.fn = row_precompute_fn(simd::active_isa());
+  } else {
+    ctx.simd.scan = row_scan_fn(simd::active_isa());
+  }
   return ctx;
 }
 
