@@ -284,7 +284,7 @@ FastzStudy::FastzStudy(const Sequence& a, const Sequence& b, const ScoreParams& 
       for (std::size_t idx = 0; idx < hits.size(); ++idx) process_seed(idx);
     } else {
       ThreadPool pool(functional_threads_);
-      pool.parallel_for(hits.size(), process_seed);
+      pool.parallel_for_dynamic(hits.size(), 1, process_seed);
     }
   }
 
@@ -374,7 +374,7 @@ std::vector<FastzStudy> run_functional_batch(const std::vector<FunctionalBatchIt
       for (std::size_t flat = 0; flat < total_seeds; ++flat) process_flat(flat);
     } else {
       ThreadPool pool(workers);
-      pool.parallel_for(total_seeds, process_flat);
+      pool.parallel_for_dynamic(total_seeds, 1, process_flat);
     }
   }
 

@@ -1,8 +1,5 @@
 #include "multicore/multicore_lastz.hpp"
 
-#include <algorithm>
-#include <atomic>
-
 #include "align/extension.hpp"
 #include "telemetry/trace.hpp"
 #include "util/thread_pool.hpp"
@@ -57,22 +54,7 @@ MulticoreResult run_multicore_lastz(const Sequence& a, const Sequence& b,
 
   if (mc.dynamic_schedule) {
     // Work stealing: workers claim chunks from a shared cursor.
-    std::atomic<std::size_t> cursor{0};
-    const std::size_t chunk = std::max<std::size_t>(1, mc.chunk);
-    std::vector<std::future<void>> workers;
-    workers.reserve(pool.size());
-    for (std::size_t w = 0; w < pool.size(); ++w) {
-      workers.push_back(pool.submit([&] {
-        telemetry::TraceSpan worker_span("multicore.worker", "pool");
-        for (;;) {
-          const std::size_t begin = cursor.fetch_add(chunk);
-          if (begin >= outcomes.size()) return;
-          const std::size_t end = std::min(outcomes.size(), begin + chunk);
-          for (std::size_t k = begin; k < end; ++k) process(k);
-        }
-      }));
-    }
-    for (auto& w : workers) w.get();
+    pool.parallel_for_dynamic(outcomes.size(), mc.chunk, process);
   } else {
     // Static contiguous partitions — the paper's multi-process scheme.
     pool.parallel_for(outcomes.size(), process);

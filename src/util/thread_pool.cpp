@@ -1,6 +1,7 @@
 #include "util/thread_pool.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <cstdlib>
 #include <exception>
@@ -91,9 +92,35 @@ void ThreadPool::parallel_for(std::size_t n, const std::function<void(std::size_
       for (std::size_t i = begin; i < end; ++i) fn(i);
     }));
   }
-  // Wait for *every* chunk before rethrowing: bailing on the first failure
-  // would destroy `fn` (and any state it captures) while other chunks still
-  // run, and would leave this barrier half-joined.
+  join_all(futures);
+}
+
+void ThreadPool::parallel_for_dynamic(std::size_t n, std::size_t chunk,
+                                      const std::function<void(std::size_t)>& fn) {
+  if (n == 0) return;
+  chunk = std::max<std::size_t>(1, chunk);
+  const std::size_t workers = std::min(size(), (n + chunk - 1) / chunk);
+  std::atomic<std::size_t> cursor{0};
+  std::vector<std::future<void>> futures;
+  futures.reserve(workers);
+  for (std::size_t w = 0; w < workers; ++w) {
+    futures.push_back(submit([n, chunk, &cursor, &fn] {
+      telemetry::TraceSpan span("pool.worker", "pool");
+      for (;;) {
+        const std::size_t begin = cursor.fetch_add(chunk, std::memory_order_relaxed);
+        if (begin >= n) return;
+        const std::size_t end = std::min(n, begin + chunk);
+        for (std::size_t i = begin; i < end; ++i) fn(i);
+      }
+    }));
+  }
+  join_all(futures);
+}
+
+void ThreadPool::join_all(std::vector<std::future<void>>& futures) {
+  // Wait for *every* worker before rethrowing: bailing on the first failure
+  // would destroy `fn` (and any state it captures) while other workers still
+  // run, and would leave the barrier half-joined.
   std::exception_ptr first_error;
   for (auto& f : futures) {
     try {

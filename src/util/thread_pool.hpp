@@ -1,9 +1,12 @@
-// Fixed-size worker pool used by the multicore LASTZ implementation.
+// Fixed-size worker pool used by the multicore LASTZ implementation and
+// FastZ's functional pass.
 //
 // The paper's multicore baseline partitions the seed list across processes;
-// here we use threads with the same coarse-grained inter-seed partitioning
+// parallel_for gives threads the same coarse-grained inter-seed partitioning
 // (Section 3.4 of the paper: "Our implementation partitions the set of seeds
-// where each partition runs in a sequential process").
+// where each partition runs in a sequential process"). parallel_for_dynamic
+// hands out seeds from a shared cursor instead, for passes whose wallclock
+// should not hinge on one worker.
 #pragma once
 
 #include <condition_variable>
@@ -63,6 +66,17 @@ class ThreadPool {
   // never abandons tasks that still reference `fn`.
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
 
+  // Run fn(i) for i in [0, n) across the pool and wait for completion, with
+  // every worker claiming the next `chunk` indices from a shared cursor until
+  // none are left. A worker slowed by the host, or holding a costly item,
+  // takes fewer items instead of holding up the barrier, so the wallclock
+  // follows the pool's total speed rather than its slowest worker's.
+  //
+  // An exception thrown by fn(i) ends that worker's loop and is rethrown
+  // here (the first one, in worker order) after every worker has finished.
+  void parallel_for_dynamic(std::size_t n, std::size_t chunk,
+                            const std::function<void(std::size_t)>& fn);
+
   // Stops accepting work, drains the queue, and joins the workers. Safe to
   // call more than once; subsequent submit() calls throw. The destructor
   // calls this implicitly.
@@ -70,6 +84,8 @@ class ThreadPool {
 
  private:
   void worker_loop();
+  // Waits for every future, then rethrows the first exception among them.
+  static void join_all(std::vector<std::future<void>>& futures);
 
   std::vector<std::thread> workers_;
   std::queue<std::function<void()>> queue_;

@@ -127,6 +127,25 @@ TEST_F(TraceTest, ParallelForEmitsPerWorkerChunkSpans) {
   EXPECT_EQ(chunk_spans, 4u);
 }
 
+TEST_F(TraceTest, ParallelForDynamicEmitsOneSpanPerWorker) {
+  ScopedEnable on;
+  ThreadPool pool(4);
+  std::atomic<int> count{0};
+  pool.parallel_for_dynamic(400, 1, [&](std::size_t) {
+    count.fetch_add(1);
+    std::this_thread::sleep_for(std::chrono::microseconds(10));
+  });
+  EXPECT_EQ(count.load(), 400);
+  std::size_t worker_spans = 0;
+  for (const auto& e : TraceRecorder::global().snapshot()) {
+    if (e.name == "pool.worker") {
+      ++worker_spans;
+      EXPECT_EQ(e.category, "pool");
+    }
+  }
+  EXPECT_EQ(worker_spans, 4u);
+}
+
 TEST_F(TraceTest, NowIsMonotonic) {
   TraceRecorder& rec = TraceRecorder::global();
   const double a = rec.now_us();

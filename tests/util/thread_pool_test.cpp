@@ -9,6 +9,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <vector>
 
 namespace fastz {
 namespace {
@@ -118,6 +119,50 @@ TEST(ThreadPool, SumIsDeterministic) {
   pool.parallel_for(100, [&](std::size_t i) { out[i] = i * i; });
   const std::uint64_t sum = std::accumulate(out.begin(), out.end(), std::uint64_t{0});
   EXPECT_EQ(sum, 328350u);
+}
+
+TEST(ThreadPool, ParallelForDynamicCoversAllIndices) {
+  ThreadPool pool(4);
+  // No items, fewer items than workers, and chunk sizes that divide n, that
+  // leave a short last chunk, that exceed n, and 0 (treated as 1).
+  for (std::size_t n : {std::size_t{0}, std::size_t{3}, std::size_t{1000}}) {
+    for (std::size_t chunk : {std::size_t{1}, std::size_t{3}, std::size_t{7},
+                              std::size_t{2000}, std::size_t{0}}) {
+      std::vector<std::atomic<int>> hits(n);
+      pool.parallel_for_dynamic(n, chunk, [&](std::size_t i) { hits[i].fetch_add(1); });
+      for (const auto& h : hits) EXPECT_EQ(h.load(), 1) << "n " << n << " chunk " << chunk;
+    }
+  }
+}
+
+TEST(ThreadPool, ParallelForDynamicBalancesAroundASlowItem) {
+  // One item holds its worker for the whole call; the other workers take
+  // every remaining item, where a static split would leave a quarter of
+  // them queued behind the slow one.
+  ThreadPool pool(4);
+  std::atomic<bool> slow_done{false};
+  std::atomic<int> after_slow{0};
+  pool.parallel_for_dynamic(40, 1, [&](std::size_t i) {
+    if (i == 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(200));
+      slow_done.store(true);
+    } else if (slow_done.load()) {
+      after_slow.fetch_add(1);
+    }
+  });
+  EXPECT_EQ(after_slow.load(), 0);
+}
+
+TEST(ThreadPool, ParallelForDynamicPropagatesExceptionsAndStaysUsable) {
+  ThreadPool pool(4);
+  EXPECT_THROW(pool.parallel_for_dynamic(100, 1,
+                                         [](std::size_t i) {
+                                           if (i == 37) throw std::runtime_error("boom");
+                                         }),
+               std::runtime_error);
+  std::atomic<int> count{0};
+  pool.parallel_for_dynamic(100, 1, [&](std::size_t) { count.fetch_add(1); });
+  EXPECT_EQ(count.load(), 100);
 }
 
 TEST(ThreadPool, DefaultSizeIsAtLeastOne) {
